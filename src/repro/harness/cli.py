@@ -653,6 +653,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         f"chaos drill: {drill.cells} cells at rate {args.chaos_rate:g} "
         f"(seed {args.chaos_seed}, retry budget {args.retries})"
     )
+    print(f"injected: {stats.faults} faults")
     print(
         f"absorbed: {stats.retries} retries, {stats.timeouts} timeouts, "
         f"{stats.corrupt} torn cache entries, {stats.gave_up} cells given up"
@@ -672,6 +673,13 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     if drill.ok:
         print("PASS: zero holes, every cell bit-identical to the fault-free run")
         return 0
+    if drill.vacuous:
+        print(
+            f"FAIL: no fault fired at rate {args.chaos_rate:g} and seed "
+            f"{args.chaos_seed} — pick another --chaos-seed",
+            file=sys.stderr,
+        )
+        return 1
     print("FAIL: resilience drill left holes or divergent results", file=sys.stderr)
     return 1
 

@@ -30,9 +30,11 @@ invalidates the ones already computed.
 
 Determinism guarantee: a cell's result depends only on its key fields.
 The engine therefore produces bit-identical results for any ``jobs``
-value and any cache state, and identical results to the legacy serial
-path, because every path calls ``simulate_run`` with the same arguments
-and the simulator reseeds from them.
+value and any cache state, because every attempt calls ``simulate_run``
+with the same arguments and the simulator reseeds from them.  Every miss
+goes through one attempt contract (admission, retry, failure charging,
+bookkeeping), run by one of two loops: in input order in-process, or in
+chunks of attempts across a worker pool.
 
 Resilience (:mod:`repro.resilience`) extends the guarantee to failure:
 an :class:`~repro.resilience.FaultInjector` injects seeded chaos into
@@ -40,9 +42,8 @@ attempts, a :class:`~repro.resilience.RetryPolicy` bounds timeouts and
 backoff, and a :class:`~repro.resilience.CheckpointJournal` makes
 interrupted sweeps resumable.  Faults replace or delay attempts but
 never perturb a successful simulation, so a chaos run that converges is
-bit-identical to a fault-free one.  All of it is off by default, and the
-fault-free fast path pays a single ``enabled``-style check
-(:attr:`ExecutionEngine.resilient`) before taking the legacy code path.
+bit-identical to a fault-free one.  All of it is off by default — one
+attempt, no timeout, no faults — which the same loops run as is.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import heapq
+import itertools
 import json
+import math
 import multiprocessing
 import os
 import pickle
@@ -62,7 +65,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, TextIO, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from repro.jvm.collectors import resolve_collector
 from repro.jvm.heap import OutOfMemoryError
@@ -229,13 +232,13 @@ def _execute_cell(payload: Tuple[Cell, str]) -> CellResult:
 def _execute_cell_chaos(
     payload: Tuple[Cell, str, Optional[FaultSpec], int]
 ) -> CellResult:
-    """Run one cell under chaos (pool worker entry point).
+    """Run one attempt of a cell under chaos.
 
-    The injector is rebuilt from its picklable spec in the child and
-    redraws the same deterministic fault decision the parent computed,
-    so injected failures fire *inside* the worker — a crash raised here
-    travels back through ``AsyncResult.get`` exactly like a real worker
-    failure, and a hang really does occupy the worker.
+    The injector is rebuilt from its picklable spec wherever the attempt
+    runs and redraws the same deterministic fault decision the parent
+    computed, so injected failures fire *inside* the worker — a crash
+    raised here is reported exactly like a real worker failure, and a
+    hang really does occupy the worker.
     """
     cell, key, spec, attempt = payload
     if spec is not None:
@@ -246,31 +249,36 @@ def _execute_cell_chaos(
     return _execute_cell((cell, key))
 
 
-def _execute_cell_chaos_bounded(
-    payload: Tuple[Cell, str, Optional[FaultSpec], int, Optional[float]]
-) -> CellResult:
-    """Run one chaos attempt under its own deadline (pool worker entry
-    point).
+def _execute_attempts(
+    tasks: Sequence[Tuple[Cell, str, Optional[FaultSpec], int]],
+    timeout_s: Optional[float],
+) -> List[Union[CellResult, Exception]]:
+    """Run ``(cell, key, fault spec, attempt)`` attempts in order and
+    return each one's result or exception (both miss loops' entry point,
+    so module-level for pool workers).
 
-    The timeout clock starts *here*, when a worker actually dequeues
-    the attempt — never in the parent at submission time — so queue
-    wait behind a busy pool is not charged against the cell.  A blown
-    deadline raises :class:`~repro.resilience.CellTimeout` back through
-    the normal result channel while the hung attempt is abandoned on a
-    daemon thread: the worker itself moves on to the next task, so a
-    hang never saturates the pool.
+    Each deadline starts when its attempt does, so queueing behind a
+    busy pool or chunk-mates is never charged to a cell; a hung attempt
+    is abandoned on a daemon thread as a :class:`CellTimeout`.  Failures
+    are returned, not raised, so the rest of the chunk still runs.
     """
-    cell, key, spec, attempt, timeout_s = payload
-    inner = (cell, key, spec, attempt)
-    if timeout_s is None:
-        return _execute_cell_chaos(inner)
-    return _call_with_timeout(_execute_cell_chaos, inner, timeout_s, key)
+    outcomes: List[Union[CellResult, Exception]] = []
+    for task in tasks:
+        try:
+            if timeout_s is None:
+                outcomes.append(_execute_cell_chaos(task))
+            else:
+                outcomes.append(
+                    _call_with_timeout(_execute_cell_chaos, task, timeout_s, task[1])
+                )
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
 def _call_with_timeout(fn, payload, timeout_s: float, key: str) -> CellResult:
-    """Run ``fn(payload)`` with a wall-clock bound (used by the serial
-    path in-process and by pool workers via
-    :func:`_execute_cell_chaos_bounded`).
+    """Run ``fn(payload)`` with a wall-clock bound (how
+    :func:`_execute_attempts` enforces ``RetryPolicy.cell_timeout_s``).
 
     The attempt runs on a named daemon thread (``chopin-cell-<key8>``,
     so a thread dump attributes stragglers to their cell) joined with
@@ -487,6 +495,7 @@ class EngineStats:
     budget_skipped: int = 0  # cells refused by the deadline budget
     breaker_skipped: int = 0  # cells refused by an open circuit breaker
     drained: int = 0  # cells refused by a graceful-shutdown drain
+    faults: int = 0  # faults the chaos injector fired (attempts + torn entries)
 
     @property
     def hits(self) -> int:
@@ -528,6 +537,7 @@ class EngineStats:
             budget_skipped=self.budget_skipped - other.budget_skipped,
             breaker_skipped=self.breaker_skipped - other.breaker_skipped,
             drained=self.drained - other.drained,
+            faults=self.faults - other.faults,
         )
 
 
@@ -592,10 +602,10 @@ class ExecutionEngine:
     """Runs batches of cells, in-process or across a worker pool.
 
     ``jobs=1`` (the default) executes cells inline — no subprocesses, no
-    pickling, identical to the legacy serial path.  ``jobs>1`` fans
-    cache-misses out over ``multiprocessing``; results are deterministic
-    either way (see the module docstring).  Passing ``cache_dir`` enables
-    the content-addressed result cache.
+    pickling.  ``jobs>1`` fans cache misses out over ``multiprocessing``
+    in chunks of attempts; results are deterministic either way (see the
+    module docstring).  Passing ``cache_dir`` enables the
+    content-addressed result cache.
 
     ``recorder`` attaches a flight recorder
     (:class:`repro.observability.Recorder`): each batch then emits cell
@@ -614,9 +624,10 @@ class ExecutionEngine:
     :class:`~repro.resilience.FaultInjector` injecting seeded chaos into
     attempts), and ``checkpoint`` (a
     :class:`~repro.resilience.CheckpointJournal` — or a path to one —
-    journalling completed cells so interrupted sweeps resume).  When none
-    is active, :attr:`resilient` is False and ``run_cells`` takes the
-    exact legacy code path.
+    journalling completed cells so interrupted sweeps resume).  Inert
+    collaborators still run every miss through the same attempt loop, so
+    the defaults — one attempt, no timeout, no chaos — are simply the
+    loop's smallest case, with the same error contract.
 
     ``supervisor`` attaches a :class:`~repro.resilience.Supervisor`: the
     engine then consults it before starting each cache-missed cell
@@ -649,10 +660,13 @@ class ExecutionEngine:
         #: Vectorized batch execution (opt-in): cache-missed cells at
         #: aggregate fidelity are grouped by collector and simulated in
         #: one :func:`repro.jvm.batch.simulate_batch` call per group.
-        #: Cell keys, cache entries, progress callbacks, and fail-fast
-        #: semantics are unchanged — batching is engine-internal — but
-        #: results match the scalar path to BATCH_TOLERANCE rather than
-        #: bit-exactly, which is why it is off by default.
+        #: The kernel runs in-process on the serial miss loop, whatever
+        #: ``jobs`` says, and only on engines that are not
+        #: :attr:`resilient`.  Cell keys, cache entries, progress
+        #: callbacks, and fail-fast semantics are unchanged — batching
+        #: is engine-internal — but results match the scalar path to
+        #: BATCH_TOLERANCE rather than bit-exactly, which is why it is
+        #: off by default.
         self.batch = batch
         # ``cache`` accepts a ready-made ResultCache (e.g. one shared
         # ShardedResultCache tenanted across a service's worker engines);
@@ -667,9 +681,9 @@ class ExecutionEngine:
         if isinstance(checkpoint, (str, Path)):
             checkpoint = CheckpointJournal(checkpoint)
         self.checkpoint = checkpoint
-        # An attached supervisor routes execution through the resilient
-        # path (where admission checks live) even when it has no budget
-        # or breaker — a signal-initiated drain must still work.
+        # An attached supervisor makes the miss loops consult it even
+        # when it has no budget or breaker — a signal-initiated drain
+        # must still work.
         self._supervised = supervisor is not None
         self.supervisor = supervisor if supervisor is not None else Supervisor()
         self.stats = EngineStats()
@@ -698,9 +712,10 @@ class ExecutionEngine:
 
     @property
     def resilient(self) -> bool:
-        """True when any resilience collaborator is active — the single
-        check the fault-free fast path pays (the ``NullRecorder``
-        pattern: one branch, then the legacy code verbatim)."""
+        """True when any resilience collaborator is active.  Every miss
+        runs through the same attempt bookkeeping either way; a resilient
+        engine only declines the batch kernel, whose precomputed rows
+        cannot be retried, timed, faulted or refused cell by cell."""
         return (
             self.injector.enabled
             or self.retry.active
@@ -716,29 +731,34 @@ class ExecutionEngine:
     ) -> Union[List[CellResult], PartialBatch]:
         """Execute a batch, returning results in input order.
 
-        Cache hits never execute; misses are simulated (in parallel when
-        ``jobs>1``) and written back.  With ``fail_fast`` and ``jobs=1``,
-        the first ``OutOfMemoryError`` short-circuits the rest of the
-        batch: remaining cells come back as uncached ``skipped``
-        placeholders carrying the same message — callers that raise on
-        the first failure (like ``measure``) never observe them.  With
-        ``jobs>1`` fail-fast is a no-op: the pool runs everything, and
-        parallelism pays for the wasted cells.
+        Cache hits never execute; every miss is attempted under the
+        retry policy (one attempt, no timeout, by default) and the chaos
+        injector, when one is attached, and written back.  Misses run on
+        one of two loops: :meth:`_run_serial`, in input order, when
+        ``jobs=1``, when there is a single miss, or when a non-resilient
+        engine has ``batch`` on; :meth:`_run_pool`, in chunks across the
+        worker pool, otherwise.
 
-        When the engine is :attr:`resilient`, every miss runs under the
-        retry policy (and the chaos injector, when one is attached).  A
-        cell that exhausts its budget raises
-        :class:`~repro.resilience.CellExecutionError` — unless
-        ``partial`` is set, in which case the return value becomes a
-        :class:`PartialBatch` whose ``holes`` report (cell, attempts,
-        last error) instead of raising.  ``partial`` changes only the
-        return *shape* for non-resilient engines (no holes possible).
+        With ``fail_fast`` and ``jobs=1``, the first ``OutOfMemoryError``
+        short-circuits the rest of the batch: remaining cells come back
+        as uncached ``skipped`` placeholders carrying the same message —
+        callers that raise on the first failure (like ``measure``) never
+        observe them.  With ``jobs>1`` fail-fast is a no-op: every cell
+        runs, and parallelism pays for the wasted ones.
+
+        An ``OutOfMemoryError`` is a result, not a failure.  Any other
+        exception is a failed attempt; a cell whose attempts are spent
+        (or that fails permanently) raises
+        :class:`~repro.resilience.CellExecutionError` chained to the last
+        error — unless ``partial`` is set, in which case the return value
+        becomes a :class:`PartialBatch` whose ``holes`` report (cell,
+        attempts, last error) instead of raising.  Cells a supervisor
+        refuses to start follow the same contract.
         """
         keyed = [(cell, cell_key(cell)) for cell in cells]
         self.progress.batch_started(len(keyed))
         self._attempt_log = {}
         results: List[Optional[CellResult]] = [None] * len(keyed)
-        holes: List[Hole] = []
         misses: List[int] = []
         hit_indices = set()
         cache_corrupt_before = self.cache.corrupt if self.cache is not None else 0
@@ -769,34 +789,11 @@ class ExecutionEngine:
         if self.cache is not None:
             self.stats.corrupt += self.cache.corrupt - cache_corrupt_before
 
-        if self.resilient:
-            holes = self._run_resilient(keyed, misses, results, fail_fast, partial)
-        elif self.batch and misses:
-            self._run_batched(keyed, misses, results, fail_fast)
-        elif self.jobs > 1 and len(misses) > 1:
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-            with ctx.Pool(min(self.jobs, len(misses))) as pool:
-                executed = pool.map(_execute_cell, [keyed[i] for i in misses])
-            for idx, result in zip(misses, executed):
-                results[idx] = result
-                self._record(keyed[idx][0], result)
+        batching = self.batch and not self.resilient
+        if self.jobs > 1 and len(misses) > 1 and not batching:
+            holes = self._run_pool(keyed, misses, results, partial)
         else:
-            oom_message: Optional[str] = None
-            for idx in misses:
-                cell, key = keyed[idx]
-                if oom_message is not None:
-                    result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
-                    results[idx] = result
-                    self.stats.skipped += 1
-                    self.progress.cell_finished(cell, result, from_cache=False)
-                    continue
-                result = _execute_cell((cell, key))
-                results[idx] = result
-                self._record(cell, result)
-                if fail_fast and result.oom is not None:
-                    oom_message = result.oom
+            holes = self._run_serial(keyed, misses, results, fail_fast, partial, batching)
 
         # Consume supervision incidents whether or not anyone records
         # them, so the list never grows without bound across batches.
@@ -818,31 +815,184 @@ class ExecutionEngine:
             return PartialBatch(results=list(results), holes=holes)
         return [r for r in results if r is not None]
 
-    def _run_batched(
+    def _run_serial(
         self,
         keyed: Sequence[Tuple[Cell, str]],
         misses: Sequence[int],
         results: List[Optional[CellResult]],
         fail_fast: bool,
-    ) -> None:
-        """Execute cache misses through the vectorized batch kernel.
-
-        Misses at aggregate fidelity are grouped by ``(collector, config
-        identity)`` — the two axes :func:`repro.jvm.batch.simulate_batch`
-        shares across a batch — and each group runs as one struct-of-
-        arrays simulation; everything else (full/auto fidelity) falls
-        back to the scalar path cell by cell.  Results are then consumed
-        **in input order**, so observable behaviour matches the serial
-        path exactly: per-cell progress callbacks fire in the same order,
-        cache writes use the same keys, and with ``fail_fast`` (at
-        ``jobs=1``, as on the scalar path) every cell after the first
-        ``OutOfMemoryError`` becomes an uncached ``skipped`` placeholder
-        — its already-computed batch result is discarded, mirroring how
-        the serial loop never executes those cells.  ``SIMULATE_CALLS``
-        is charged one per *kept* batch result, so the warm-cache
-        zero-simulation guarantee holds identically.
-        """
+        partial: bool,
+        batching: bool,
+    ) -> List[Hole]:
+        """The in-order miss loop: each cell retries in place before the
+        next one starts.  With ``batching``, aggregate-fidelity outcomes
+        precomputed by :meth:`_batch_outcomes` stand in for attempts; a
+        fail-fast skip discards its outcome, and ``SIMULATE_CALLS`` is
+        charged one per *kept* batch result, so the warm-cache
+        zero-simulation guarantee holds identically."""
         global SIMULATE_CALLS
+        precomputed = self._batch_outcomes(keyed, misses) if batching else {}
+        holes: List[Hole] = []
+        oom_message: Optional[str] = None
+        for idx in misses:
+            cell, key = keyed[idx]
+            if oom_message is not None:
+                result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
+                results[idx] = result
+                self.stats.skipped += 1
+                self.progress.cell_finished(cell, result, from_cache=False)
+                continue
+            refused = self._supervise_admit(cell, key)
+            if refused is not None:
+                self._skip_supervised(refused, holes, partial)
+                continue
+            result = precomputed.get(idx)
+            if result is not None:
+                SIMULATE_CALLS += 1
+            else:
+                result = self._attempt_serial(cell, key, idx, holes, partial)
+                if result is None:
+                    continue
+            results[idx] = result
+            self._finish_executed(idx, cell, key, result)
+            if fail_fast and self.jobs == 1 and result.oom is not None:
+                oom_message = result.oom
+        return holes
+
+    def _attempt_serial(
+        self, cell: Cell, key: str, idx: int, holes: List[Hole], partial: bool
+    ) -> Optional[CellResult]:
+        """One cell's attempts, in-process, with backoff slept between
+        them: the result, or None once the cell has given up."""
+        spec = self.injector.spec if self.injector.enabled else None
+        for attempt in itertools.count():
+            self._log_fault_decision(key, idx, attempt)
+            [outcome] = _execute_attempts(
+                [(cell, key, spec, attempt)], self.retry.cell_timeout_s
+            )
+            if not isinstance(outcome, Exception):
+                return outcome
+            delay = self._charge_failure(cell, key, idx, attempt, outcome, holes, partial)
+            if delay is None:
+                return None
+            if delay > 0:
+                time.sleep(delay)
+
+    def _run_pool(
+        self,
+        keyed: Sequence[Tuple[Cell, str]],
+        misses: Sequence[int],
+        results: List[Optional[CellResult]],
+        partial: bool,
+    ) -> List[Hole]:
+        """The pool miss loop: a sliding window with at most one task
+        per worker in flight, each task a chunk of attempts for
+        :func:`_execute_attempts`, so a fault re-runs only its own cell.
+
+        A chunk holds ``ceil(len(ready) / (4 * workers))`` cells —
+        ``pool.map``'s heuristic, recomputed at each dispatch so chunks
+        shrink toward the tail — or one cell when supervised, because
+        admission, the breaker's single half-open probe and a drain act
+        per cell at dispatch.  Cells backing off nap in a heap without
+        holding a worker.  Results are booked in completion order.
+        """
+        spec = self.injector.spec if self.injector.enabled else None
+        timeout_s = self.retry.cell_timeout_s
+        holes: List[Hole] = []
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+        )
+        workers = min(self.jobs, len(misses))
+        done: "queue.SimpleQueue" = queue.SimpleQueue()
+        attempts = dict.fromkeys(misses, 0)  # next attempt number per cell
+        ready = deque(misses)  # cells ready to dispatch, FIFO
+        napping: List[Tuple[float, int]] = []  # (wake_at, idx) backoff heap
+        inflight = 0  # tasks dispatched and not yet answered
+        with ctx.Pool(workers) as pool:
+            while ready or napping or inflight:
+                now = time.monotonic()
+                if self._supervised and self.supervisor.draining:
+                    # A drain refuses everything anyway — wake the
+                    # nappers now instead of sleeping out their backoff.
+                    while napping:
+                        ready.append(heapq.heappop(napping)[1])
+                while napping and napping[0][0] <= now:
+                    ready.append(heapq.heappop(napping)[1])
+                while ready and inflight < workers:
+                    size = 1 if self._supervised else math.ceil(len(ready) / (4 * workers))
+                    chunk: List[int] = []
+                    while ready and len(chunk) < size:
+                        idx = ready.popleft()
+                        cell, key = keyed[idx]
+                        refused = self._supervise_admit(cell, key)
+                        if refused is not None:
+                            self._skip_supervised(refused, holes, partial)
+                            continue
+                        self._log_fault_decision(key, idx, attempts[idx])
+                        chunk.append(idx)
+                    if not chunk:
+                        continue
+                    inflight += 1
+                    pool.apply_async(
+                        _execute_attempts,
+                        ([(*keyed[i], spec, attempts[i]) for i in chunk], timeout_s),
+                        callback=lambda outcomes, chunk=chunk: done.put((chunk, outcomes)),
+                        # A chunk whose outcomes could not travel back
+                        # fails each of its attempts with that error.
+                        error_callback=lambda exc, chunk=chunk: done.put(
+                            (chunk, [exc] * len(chunk))
+                        ),
+                    )
+                if not inflight:
+                    # Nothing running: either everyone is napping (sleep
+                    # to the next wake) or the supervisor refused every
+                    # ready cell and the loop is about to finish.
+                    if napping:
+                        time.sleep(max(0.0, napping[0][0] - time.monotonic()))
+                    continue
+                try:
+                    # With a free worker and nappers pending, wake up in
+                    # time to redispatch them even if nothing completes.
+                    timeout = (
+                        max(0.0, napping[0][0] - time.monotonic())
+                        if napping and inflight < workers
+                        else None
+                    )
+                    chunk, outcomes = done.get(timeout=timeout)
+                except queue.Empty:
+                    continue
+                inflight -= 1
+                for idx, outcome in zip(chunk, outcomes):
+                    cell, key = keyed[idx]
+                    if not isinstance(outcome, Exception):
+                        results[idx] = outcome
+                        self._finish_executed(idx, cell, key, outcome)
+                        continue
+                    attempt = attempts[idx]
+                    attempts[idx] = attempt + 1
+                    delay = self._charge_failure(
+                        cell, key, idx, attempt, outcome, holes, partial
+                    )
+                    if delay is None:
+                        continue
+                    if delay > 0:
+                        heapq.heappush(napping, (time.monotonic() + delay, idx))
+                    else:
+                        ready.append(idx)
+        return holes
+
+    def _batch_outcomes(
+        self, keyed: Sequence[Tuple[Cell, str]], misses: Sequence[int]
+    ) -> Dict[int, CellResult]:
+        """Simulate the aggregate-fidelity misses through the vectorized
+        batch kernel, keyed by batch index.
+
+        Misses are grouped by ``(collector, config identity)`` — the two
+        axes :func:`repro.jvm.batch.simulate_batch` shares across a
+        batch — and each group runs as one struct-of-arrays simulation.
+        Everything else (full/auto fidelity) is left to the serial
+        loop's scalar attempts.
+        """
         from repro.jvm.batch import BatchCell, BatchSpec, simulate_batch
 
         groups: Dict[Tuple[str, int], List[int]] = {}
@@ -886,220 +1036,54 @@ class ExecutionEngine:
                     outcomes[i] = CellResult(
                         key=key, timed=None, oom=outcome.oom, duration_s=per_cell_s
                     )
-        oom_message: Optional[str] = None
-        for idx in misses:
-            cell, key = keyed[idx]
-            if oom_message is not None:
-                result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
-                results[idx] = result
-                self.stats.skipped += 1
-                self.progress.cell_finished(cell, result, from_cache=False)
-                continue
-            result = outcomes.get(idx)
-            if result is None:
-                result = _execute_cell((cell, key))
-            else:
-                SIMULATE_CALLS += 1
-            results[idx] = result
-            self._record(cell, result)
-            if fail_fast and self.jobs == 1 and result.oom is not None:
-                oom_message = result.oom
-
-    def _run_resilient(
-        self,
-        keyed: Sequence[Tuple[Cell, str]],
-        misses: Sequence[int],
-        results: List[Optional[CellResult]],
-        fail_fast: bool,
-        partial: bool,
-    ) -> List[Hole]:
-        """Execute cache misses under the retry policy (and the chaos
-        injector), serially or over the pool.  Returns the holes; raises
-        :class:`~repro.resilience.CellExecutionError` instead when
-        ``partial`` is not set."""
-        if self.jobs > 1 and len(misses) > 1:
-            return self._run_resilient_pool(keyed, misses, results, partial)
-        holes: List[Hole] = []
-        oom_message: Optional[str] = None
-        for idx in misses:
-            cell, key = keyed[idx]
-            if oom_message is not None:
-                result = CellResult(key=key, timed=None, oom=oom_message, skipped=True)
-                results[idx] = result
-                self.stats.skipped += 1
-                self.progress.cell_finished(cell, result, from_cache=False)
-                continue
-            refused = self._supervise_admit(cell, key)
-            if refused is not None:
-                self._skip_supervised(refused, holes, partial)
-                continue
-            outcome = self._attempt_serial(cell, key, idx)
-            if isinstance(outcome, Hole):
-                self._give_up(outcome, holes, partial)
-                continue
-            results[idx] = outcome
-            self._finish_executed(idx, cell, key, outcome)
-            if fail_fast and outcome.oom is not None:
-                oom_message = outcome.oom
-        return holes
-
-    def _attempt_serial(self, cell: Cell, key: str, idx: int):
-        """One cell's attempt loop (in-process): returns a
-        :class:`CellResult` on success or a :class:`Hole` on exhaustion."""
-        policy = self.retry
-        spec = self.injector.spec if self.injector.enabled else None
-        for attempt in range(policy.max_attempts):
-            self._log_fault_decision(key, idx, attempt)
-            payload = (cell, key, spec, attempt)
-            try:
-                if policy.cell_timeout_s is not None:
-                    result = _call_with_timeout(
-                        _execute_cell_chaos, payload, policy.cell_timeout_s, key
-                    )
-                else:
-                    result = _execute_cell_chaos(payload)
-            except Exception as exc:
-                delay = self._charge_failure(key, idx, attempt, exc)
-                if delay is None:
-                    return Hole(
-                        cell=cell,
-                        key=key,
-                        attempts=attempt + 1,
-                        error=str(exc),
-                        reason="timeout" if isinstance(exc, CellTimeout) else "gave_up",
-                    )
-                if delay > 0:
-                    time.sleep(delay)
-                continue
-            return result
-        raise AssertionError("attempt loop must return")  # pragma: no cover
-
-    def _run_resilient_pool(
-        self,
-        keyed: Sequence[Tuple[Cell, str]],
-        misses: Sequence[int],
-        results: List[Optional[CellResult]],
-        partial: bool,
-    ) -> List[Hole]:
-        """Sliding-window pool scheduling: at most one task per worker
-        is ever in flight, so a submitted attempt starts executing
-        immediately and its timeout — enforced *inside* the worker from
-        the attempt's actual start (:func:`_execute_cell_chaos_bounded`)
-        — never charges time spent queued behind pool capacity.  A
-        timed-out attempt comes back as a normal
-        :class:`~repro.resilience.CellTimeout` failure and its worker
-        frees itself (the hung simulation is abandoned on a daemon
-        thread, like a hung forked JVM), so no stale work is ever left
-        queued to delay or starve later retries.  Cells backing off nap
-        in a schedule heap without occupying a worker slot, so backoff
-        cost never blocks cells that are ready to run."""
-        policy = self.retry
-        spec = self.injector.spec if self.injector.enabled else None
-        holes: List[Hole] = []
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        )
-        workers = min(self.jobs, len(misses))
-        done: "queue.SimpleQueue" = queue.SimpleQueue()
-        attempts = {idx: 0 for idx in misses}  # next attempt number per cell
-        ready = deque(misses)  # cells ready to dispatch, FIFO
-        napping: List[Tuple[float, int]] = []  # (wake_at, idx) backoff heap
-        inflight: Set[int] = set()
-        with ctx.Pool(workers) as pool:
-            while ready or napping or inflight:
-                now = time.monotonic()
-                if self._supervised and self.supervisor.draining:
-                    # A drain refuses everything anyway — wake the
-                    # nappers now instead of sleeping out their backoff.
-                    while napping:
-                        ready.append(heapq.heappop(napping)[1])
-                while napping and napping[0][0] <= now:
-                    ready.append(heapq.heappop(napping)[1])
-                while ready and len(inflight) < workers:
-                    idx = ready.popleft()
-                    cell, key = keyed[idx]
-                    refused = self._supervise_admit(cell, key)
-                    if refused is not None:
-                        self._skip_supervised(refused, holes, partial)
-                        continue
-                    attempt = attempts[idx]
-                    self._log_fault_decision(key, idx, attempt)
-                    inflight.add(idx)
-                    pool.apply_async(
-                        _execute_cell_chaos_bounded,
-                        ((cell, key, spec, attempt, policy.cell_timeout_s),),
-                        callback=lambda res, idx=idx: done.put((idx, res, None)),
-                        error_callback=lambda exc, idx=idx: done.put((idx, None, exc)),
-                    )
-                if not inflight:
-                    # Nothing running: either everyone is napping (sleep
-                    # to the next wake) or the supervisor refused every
-                    # ready cell and the loop is about to finish.
-                    if napping:
-                        time.sleep(max(0.0, napping[0][0] - time.monotonic()))
-                    continue
-                try:
-                    # With a free worker and nappers pending, wake up in
-                    # time to redispatch them even if nothing completes.
-                    timeout = (
-                        max(0.0, napping[0][0] - time.monotonic())
-                        if napping and len(inflight) < workers
-                        else None
-                    )
-                    idx, result, error = done.get(timeout=timeout)
-                except queue.Empty:
-                    continue
-                inflight.discard(idx)
-                cell, key = keyed[idx]
-                if error is not None:
-                    attempt = attempts[idx]
-                    attempts[idx] = attempt + 1
-                    delay = self._charge_failure(key, idx, attempt, error)
-                    if delay is None:
-                        hole = Hole(
-                            cell=cell,
-                            key=key,
-                            attempts=attempt + 1,
-                            error=str(error),
-                            reason=(
-                                "timeout"
-                                if isinstance(error, CellTimeout)
-                                else "gave_up"
-                            ),
-                        )
-                        self._give_up(hole, holes, partial)
-                    elif delay > 0:
-                        heapq.heappush(napping, (time.monotonic() + delay, idx))
-                    else:
-                        ready.append(idx)
-                    continue
-                results[idx] = result
-                self._finish_executed(idx, cell, key, result)
-        return holes
+        return outcomes
 
     def _log_fault_decision(self, key: str, idx: int, attempt: int) -> None:
         """Record the injector's (deterministic) call for this attempt so
-        the flight recorder can show it — the parent redraws the same
-        decision the worker will, which is what seeded injection buys."""
+        the flight recorder can show it and ``stats.faults`` counts it —
+        the parent redraws the same decision the worker will, which is
+        what seeded injection buys."""
         if self.injector.enabled:
             kind = self.injector.decide(key, attempt)
             if kind is not None:
+                self.stats.faults += 1
                 self._attempt_log.setdefault(idx, []).append(("fault", kind, attempt))
 
     def _charge_failure(
-        self, key: str, idx: int, attempt: int, exc: Exception
+        self, cell: Cell, key: str, idx: int, attempt: int,
+        exc: Exception, holes: List[Hole], partial: bool,
     ) -> Optional[float]:
         """Account for one failed attempt.  Returns the backoff delay to
-        charge before retrying, or None when the cell must give up
-        (permanent failure, or budget exhausted)."""
+        charge before retrying, or None when the cell gives up
+        (permanent failure, or attempts exhausted): the supervisor hears
+        first (a give-up is what trips the family's circuit breaker),
+        then partial mode holes the cell and strict mode raises
+        :class:`~repro.resilience.CellExecutionError` chained to ``exc``.
+        """
         if isinstance(exc, CellTimeout):
             self.stats.timeouts += 1
-        if classify(exc) != "transient" or attempt + 1 >= self.retry.max_attempts:
-            return None
-        delay = self.retry.delay_s(key, attempt)
-        self.stats.retries += 1
-        self._attempt_log.setdefault(idx, []).append(("retry", attempt, delay, str(exc)))
-        return delay
+        if classify(exc) == "transient" and attempt + 1 < self.retry.max_attempts:
+            delay = self.retry.delay_s(key, attempt)
+            self.stats.retries += 1
+            self._attempt_log.setdefault(idx, []).append(
+                ("retry", attempt, delay, str(exc))
+            )
+            return delay
+        hole = Hole(
+            cell=cell,
+            key=key,
+            attempts=attempt + 1,
+            error=str(exc),
+            reason="timeout" if isinstance(exc, CellTimeout) else "gave_up",
+        )
+        self.stats.gave_up += 1
+        if self._supervised:
+            self.supervisor.record_failure(cell.spec.name, cell.collector)
+        if not partial:
+            raise CellExecutionError(key, hole.attempts, hole.error) from exc
+        holes.append(hole)
+        self.progress.cell_failed(cell, hole)
+        return None
 
     def _supervise_admit(self, cell: Cell, key: str) -> Optional[Hole]:
         """Ask the supervisor whether a pending miss may start.  Returns
@@ -1115,9 +1099,9 @@ class ExecutionEngine:
     def _skip_supervised(self, hole: Hole, holes: List[Hole], partial: bool) -> None:
         """A cell the supervisor refused to start: count it under its
         reason (exactly one stats field per hole), then hole in partial
-        mode or raise in strict mode — same contract as :meth:`_give_up`
-        but without touching the attempt-level counters, because nothing
-        was attempted."""
+        mode or raise in strict mode — same contract as a give-up in
+        :meth:`_charge_failure` but without touching the attempt-level
+        counters, because nothing was attempted."""
         if hole.reason == "budget":
             self.stats.budget_skipped += 1
         elif hole.reason == "breaker":
@@ -1129,22 +1113,10 @@ class ExecutionEngine:
         holes.append(hole)
         self.progress.cell_failed(hole.cell, hole)
 
-    def _give_up(self, hole: Hole, holes: List[Hole], partial: bool) -> None:
-        """A cell exhausted its budget: hole in partial mode, raise in
-        strict mode.  The supervisor hears about it first — a cell-level
-        give-up is what trips the family's circuit breaker."""
-        self.stats.gave_up += 1
-        if self._supervised:
-            self.supervisor.record_failure(hole.cell.spec.name, hole.cell.collector)
-        if not partial:
-            raise CellExecutionError(hole.key, hole.attempts, hole.error)
-        holes.append(hole)
-        self.progress.cell_failed(hole.cell, hole)
-
     def _finish_executed(
         self, idx: int, cell: Cell, key: str, result: CellResult
     ) -> None:
-        """Post-success bookkeeping on the resilient path: stats + cache
+        """Post-success bookkeeping for every executed miss: stats + cache
         (via ``_record``), checkpoint journal, and injected cache-entry
         corruption (*after* the write, so the tear is observed by the
         next reader, exactly like real disk rot)."""
@@ -1157,6 +1129,7 @@ class ExecutionEngine:
             self.checkpoint.record(key, oom=result.oom is not None)
         if self.injector.enabled and self.cache is not None and self.injector.corrupts(key):
             if corrupt_entry(self.cache.path_for(key)):
+                self.stats.faults += 1
                 self._attempt_log.setdefault(idx, []).append(("fault", "corrupt", 0))
 
     def _trace_batch(

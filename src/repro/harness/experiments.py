@@ -342,18 +342,26 @@ class ChaosDrill:
     not complete, ``divergent`` how many completed cells differed from
     the fault-free baseline (must be 0 — injection is forbidden from
     perturbing results), and ``stats`` the chaos engine's counters
-    (retries, timeouts, torn cache entries detected, faults survived).
+    (faults injected, retries, timeouts, torn cache entries detected).
     """
 
     cells: int
     holes: List[Hole]
     divergent: int
     stats: EngineStats
+    chaos_rate: float = 0.0
+
+    @property
+    def vacuous(self) -> bool:
+        """True when chaos was armed but no fault fired — a drill that
+        proved nothing, however clean its results."""
+        return self.chaos_rate > 0 and self.stats.faults == 0
 
     @property
     def ok(self) -> bool:
-        """True when the chaos run was complete and bit-identical."""
-        return not self.holes and self.divergent == 0
+        """True when the chaos run was complete, bit-identical, and not
+        :attr:`vacuous`."""
+        return not self.holes and self.divergent == 0 and not self.vacuous
 
 
 def chaos_drill(
@@ -380,7 +388,9 @@ def chaos_drill(
     never fire.  A passing drill means injected crashes, transient
     faults, hangs, and torn cache entries were absorbed with zero holes
     and zero divergence, which is the engine's determinism guarantee
-    extended to failure.  The CI chaos smoke job gates on ``ok``.
+    extended to failure — and that at least one fault fired, since a
+    seed that draws none proves nothing.  The CI chaos smoke job gates
+    on ``ok``.
     """
     plan = plan_lbo(specs, collectors, multiples, config)
     cells = plan.cells()
@@ -414,6 +424,7 @@ def chaos_drill(
         holes=holes,
         divergent=divergent,
         stats=chaos_engine.stats,
+        chaos_rate=chaos_rate,
     )
 
 

@@ -4,8 +4,9 @@ A production-scale sweep is hours of cells; losing it to a SIGINT at 95%
 is not acceptable.  The result cache already persists every completed
 cell, so resumption is *almost* free — what is missing is a cheap,
 crash-safe record of which keys a sweep has actually finished, so a
-resumed run can (a) report how much of the batch it inherited and (b)
-skip even the cache probe bookkeeping for work it knows is done.
+resumed run can report how much of the batch it inherited.  The resumed
+run still probes the cache for every cell — the cache, not the journal,
+supplies results — and a hit the journal lacks is journalled then.
 
 :class:`CheckpointJournal` is that record: an append-only JSONL manifest
 of completed cell keys.  Appends are line-atomic on POSIX (single small

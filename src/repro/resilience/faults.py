@@ -25,7 +25,7 @@ Four fault kinds, each standing in for a real-JVM harness failure
   next read exercises the corruption-detection path.
 
 Injection is off by default via :class:`NullInjector` (mirroring the
-flight recorder's ``NullRecorder``): the engine's fast path pays one
+flight recorder's ``NullRecorder``): an attempt without chaos pays one
 ``enabled`` check and nothing else.
 """
 

@@ -113,11 +113,21 @@ class TestArgumentValidation:
 
 class TestChaosCommand:
     def test_drill_passes(self, capsys):
-        argv = ["chaos", "lusearch", "--multiple", "2.0", "--scale", "0.05"]
+        argv = ["chaos", "lusearch", "--multiple", "2.0", "--scale", "0.05",
+                "--chaos-seed", "4"]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "chaos drill" in out
+        assert "chaos drill" in out and "injected: 8 faults" in out
         assert "PASS" in out and "bit-identical" in out
+
+    def test_drill_that_injects_nothing_fails(self, capsys):
+        # Seed 0 draws no fault on these four cells: a drill that proves
+        # nothing must not report PASS.
+        argv = ["chaos", "lusearch", "--multiple", "2.0", "--scale", "0.05"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "injected: 0 faults" in captured.out
+        assert "PASS" not in captured.out and "no fault fired" in captured.err
 
     def test_unknown_collector_rejected(self, capsys):
         assert main(["chaos", "lusearch", "--collector", "CMS"]) == 2
