@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.stats import ConfidenceInterval, confidence_interval_95, geometric_mean
+from repro.core.stats import ConfidenceInterval, confidence_intervals_95, geometric_mean
 
 
 @dataclass(frozen=True)
@@ -107,14 +107,13 @@ def distill_baseline(table: CostTable) -> Tuple[float, float]:
     cost over every (collector, heap) measured."""
     if not table:
         raise ValueError("cannot distill a baseline from no measurements")
-    wall = min(
-        confidence_interval_95([c.distilled_wall_s for c in runs]).mean
-        for runs in table.values()
+    groups = list(table.values())
+    cis = confidence_intervals_95(
+        [[c.distilled_wall_s for c in runs] for runs in groups]
+        + [[c.distilled_task_s for c in runs] for runs in groups]
     )
-    task = min(
-        confidence_interval_95([c.distilled_task_s for c in runs]).mean
-        for runs in table.values()
-    )
+    wall = min(ci.mean for ci in cis[: len(groups)])
+    task = min(ci.mean for ci in cis[len(groups) :])
     if wall <= 0 or task <= 0:
         raise ValueError("distilled baseline must be positive")
     return wall, task
@@ -123,11 +122,16 @@ def distill_baseline(table: CostTable) -> Tuple[float, float]:
 def lbo_curves(benchmark: str, table: CostTable) -> LboCurves:
     """Compute the per-benchmark LBO curves from a cost table."""
     baseline_wall, baseline_task = distill_baseline(table)
+    points = sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+    cis = confidence_intervals_95(
+        [[c.wall_s / baseline_wall for c in runs] for _, runs in points]
+        + [[c.task_s / baseline_task for c in runs] for _, runs in points]
+    )
     wall: Dict[str, List[LboPoint]] = {}
     task: Dict[str, List[LboPoint]] = {}
-    for (collector, multiple), runs in sorted(table.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        wall_ci = confidence_interval_95([c.wall_s / baseline_wall for c in runs])
-        task_ci = confidence_interval_95([c.task_s / baseline_task for c in runs])
+    for ((collector, multiple), _), wall_ci, task_ci in zip(
+        points, cis[: len(points)], cis[len(points) :]
+    ):
         wall.setdefault(collector, []).append(LboPoint(multiple, wall_ci))
         task.setdefault(collector, []).append(LboPoint(multiple, task_ci))
     return LboCurves(

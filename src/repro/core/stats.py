@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -72,15 +72,36 @@ def confidence_interval_95(samples: Sequence[float]) -> ConfidenceInterval:
     The paper runs 10 invocations of each benchmark and plots 95 %
     confidence intervals (Section 6.1.2); this is the same computation.
     """
-    arr = np.asarray(samples, dtype=float)
-    n = arr.size
-    if n == 0:
+    return confidence_intervals_95([samples])[0]
+
+
+def confidence_intervals_95(rows: Sequence[Sequence[float]]) -> List[ConfidenceInterval]:
+    """:func:`confidence_interval_95` of each row, in order.
+
+    Rows of one length share one row-wise ``mean``/``std`` pass, whose
+    reductions match per-row calls bit for bit; a sweep's cost table
+    has one length per invocation count, so this is one pass per
+    benchmark instead of two numpy calls per (collector, heap) point.
+    """
+    by_length: Dict[int, List[int]] = {}
+    for index, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(index)
+    if 0 in by_length:
         raise ValueError("confidence interval of empty sequence")
-    mean = float(np.mean(arr))
-    if n == 1:
-        return ConfidenceInterval(mean=mean, half_width=math.inf, n=1)
-    sem = float(np.std(arr, ddof=1)) / math.sqrt(n)
-    return ConfidenceInterval(mean=mean, half_width=t_critical_975(n - 1) * sem, n=n)
+    out: List[Optional[ConfidenceInterval]] = [None] * len(rows)
+    for n, indices in by_length.items():
+        arr = np.array([rows[i] for i in indices], dtype=float)
+        means = np.mean(arr, axis=1).tolist()
+        if n == 1:
+            for i, mean in zip(indices, means):
+                out[i] = ConfidenceInterval(mean=mean, half_width=math.inf, n=1)
+            continue
+        t = t_critical_975(n - 1)
+        root_n = math.sqrt(n)
+        stds = np.std(arr, axis=1, ddof=1).tolist()
+        for i, mean, std in zip(indices, means, stds):
+            out[i] = ConfidenceInterval(mean=mean, half_width=t * (std / root_n), n=n)
+    return out  # type: ignore[return-value]
 
 
 def percentile(values: Sequence[float], q: float) -> float:

@@ -26,7 +26,14 @@ the simulator's behaviour changes):
 Floats are hashed via ``float.hex()`` so the address is exact, and
 ``RunConfig.invocations`` is deliberately *excluded* — a cell is one
 invocation, so asking for more invocations only adds cells, it never
-invalidates the ones already computed.
+invalidates the ones already computed.  The canonical JSON of the four
+frozen objects a sweep's cells share — the workload spec, machine,
+tuning and environment — is memoized by object identity in a memo
+bounded to 128 entries, each holding its object so its ``id`` cannot be
+reused while cached.  The collector, heap, invocation, iterations,
+duration scale, fidelity and schema version are read on every call, and
+the blob is assembled in ``json.dumps(sort_keys=True)`` order, so keys
+are byte-identical to encoding the whole payload at once.
 
 Determinism guarantee: a cell's result depends only on its key fields.
 The engine therefore produces bit-identical results for any ``jobs``
@@ -64,6 +71,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -176,29 +184,81 @@ def _canonical(value: object) -> object:
     raise TypeError(f"cannot canonicalize {value!r} for cache hashing")
 
 
+def _dumps(value: object) -> str:
+    """The key's JSON encoding: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _scalar(value: object) -> str:
+    """``_dumps(value)``, without building an encoder for the plain
+    ``str``/``int``/``None`` scalars a key carries (the same text
+    :mod:`json` emits for them)."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    return _dumps(value)
+
+
+#: Bound on :data:`_FRAGMENTS`.  A sweep keys a few dozen distinct spec
+#: and config objects, so this holds all of them with room to spare.
+_FRAGMENT_MEMO_SIZE = 128
+
+#: ``id(obj) -> (obj, canonical JSON of obj)`` for the frozen spec,
+#: machine, tuning and environment objects a sweep's cells share.  The
+#: entry holds ``obj``, so its ``id`` cannot be reused while cached.
+_FRAGMENTS: Dict[int, Tuple[object, str]] = {}
+_FRAGMENTS_LOCK = threading.Lock()
+
+
+def _fragment(value: object) -> str:
+    """``_dumps(_canonical(value))``, memoized by object identity.
+
+    Reads are lock-free (one ``dict.get``); inserts and the oldest-first
+    eviction that keeps the memo bounded run under a lock.
+    """
+    entry = _FRAGMENTS.get(id(value))
+    if entry is not None and entry[0] is value:
+        return entry[1]
+    fragment = _dumps(_canonical(value))
+    with _FRAGMENTS_LOCK:
+        while len(_FRAGMENTS) >= _FRAGMENT_MEMO_SIZE:
+            del _FRAGMENTS[next(iter(_FRAGMENTS))]
+        _FRAGMENTS[id(value)] = (value, fragment)
+    return fragment
+
+
 def cell_key(cell: Cell) -> str:
-    """Content address of one cell: a stable sha256 over its key fields."""
+    """Content address of one cell: a stable sha256 over its key fields.
+
+    The blob is ``_dumps`` of the key payload, assembled field by field
+    in sorted-key order so the shared objects' fragments come from the
+    memo; the scalars and the schema version are read on every call.
+    """
     config = cell.config
-    payload = {
-        "schema": ENGINE_SCHEMA_VERSION,
-        "workload": _canonical(cell.spec),
-        "collector": cell.collector,
-        "heap_mb": _canonical(float(cell.heap_mb)),
-        "invocation": cell.invocation,
-        "iterations": config.iterations,
-        "machine": _canonical(config.machine),
-        "tuning": _canonical(config.tuning),
-        "duration_scale": _canonical(float(config.duration_scale)),
-        "environment": _canonical(config.environment),
-    }
     # The fidelity tier changes the cached payload (aggregate results
     # carry no timeline/telemetry), so it participates in the key — but
     # only when reducing detail, keeping full/auto keys stable across the
     # introduction of tiers.
     fidelity = getattr(config, "fidelity", None)
-    if fidelity is not None and fidelity != "full":
-        payload["fidelity"] = fidelity
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    tier = "" if fidelity is None or fidelity == "full" else ',"fidelity":' + _scalar(fidelity)
+    blob = "".join((
+        '{"collector":', _scalar(cell.collector),
+        ',"duration_scale":"', float(config.duration_scale).hex(),
+        '","environment":', _fragment(config.environment),
+        tier,
+        ',"heap_mb":"', float(cell.heap_mb).hex(),
+        '","invocation":', _scalar(cell.invocation),
+        ',"iterations":', _scalar(config.iterations),
+        ',"machine":', _fragment(config.machine),
+        ',"schema":', _scalar(ENGINE_SCHEMA_VERSION),
+        ',"tuning":', _fragment(config.tuning),
+        ',"workload":', _fragment(cell.spec),
+        "}",
+    ))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -328,8 +388,13 @@ class ResultCache:
     up in :class:`EngineStats` instead of masquerading as a cold cache.
     """
 
+    #: Hex characters of the key that name its fan-out directory
+    #: (0 = a flat layout).
+    width = 2
+
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
+        self._root = os.fspath(self.root)
         #: Entries that existed but failed to load or validate — torn
         #: writes, disk rot, or injected corruption.  Monotonic; the
         #: engine folds per-batch deltas into ``EngineStats.corrupt``.
@@ -337,16 +402,31 @@ class ResultCache:
 
     def path_for(self, key: str) -> Path:
         """Where a key's entry lives (whether or not it exists yet)."""
-        return self.root / key[:2] / f"{key}.pkl"
+        return Path(self._entry_path(key, self.width))
+
+    def _entry_path(self, key: str, width: int) -> str:
+        """Where a key's entry lives under a ``width``-character fan-out,
+        as a plain string (a probe needs no :class:`~pathlib.Path`)."""
+        if width:
+            return os.path.join(self._root, key[:width], key + ".pkl")
+        return os.path.join(self._root, key + ".pkl")
 
     def get(self, key: str) -> Optional[CellResult]:
         """Load a cached result, or None on miss/corruption."""
-        path = self.path_for(key)
+        return self._load(self._entry_path(key, self.width), key)
+
+    def _load(self, path: str, key: str) -> Optional[CellResult]:
+        """One best-effort load of ``key``'s entry from ``path`` (every
+        layout's probe).  An entry that cannot be read is a miss; one
+        that fails to unpickle, or is not ``key``'s :class:`CellResult`,
+        is a miss counted in ``corrupt``."""
         try:
-            with path.open("rb") as fh:
-                result = pickle.load(fh)
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.readall()
         except OSError:
             return None  # a genuine miss: absent (or unreadable) entry
+        try:
+            result = pickle.loads(data)
         # Unpickling a truncated or overwritten entry can raise almost
         # anything (ValueError, KeyError, ...), so treat any failure as
         # a miss rather than enumerating exception types — but count it:
@@ -362,6 +442,10 @@ class ResultCache:
     def put(self, result: CellResult) -> None:
         """Store a result atomically; IO failures are swallowed (the
         cache is an accelerator, not a dependency)."""
+        self._write(result)
+
+    def _write(self, result: CellResult) -> None:
+        """One atomic on-disk publish: temp file + ``os.replace``."""
         path = self.path_for(result.key)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

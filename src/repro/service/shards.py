@@ -44,9 +44,6 @@ every write lands in a ``*.tmp`` sibling first and is published with
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
@@ -110,26 +107,14 @@ class ShardedResultCache(ResultCache):
     # ------------------------------------------------------------------
     # Layout
 
-    def path_for(self, key: str) -> Path:
-        """Where a key lives under *this* cache's fan-out."""
-        if self.width == 0:
-            return self.root / f"{key}.pkl"
-        return self.root / key[: self.width] / f"{key}.pkl"
-
-    def _legacy_paths(self, key: str) -> List[Path]:
+    def _legacy_paths(self, key: str) -> List[str]:
         """Where the same key would live under every *other* layout —
         the flat files of the earliest caches and the other hex-prefix
         widths — probed in widest-first order (256 is the most likely
         predecessor)."""
-        paths = []
-        for width in (2, 1, 3, 0):
-            if width == self.width:
-                continue
-            if width == 0:
-                paths.append(self.root / f"{key}.pkl")
-            else:
-                paths.append(self.root / key[:width] / f"{key}.pkl")
-        return paths
+        return [
+            self._entry_path(key, width) for width in (2, 1, 3, 0) if width != self.width
+        ]
 
     # ------------------------------------------------------------------
     # Read-through
@@ -167,21 +152,6 @@ class ShardedResultCache(ResultCache):
                 self._write(result)  # adopt into the current layout
                 return result
         return None
-
-    def _load(self, path: Path, key: str) -> Optional[CellResult]:
-        """One best-effort load with the base class's corruption rules."""
-        try:
-            with path.open("rb") as fh:
-                result = pickle.load(fh)
-        except OSError:
-            return None
-        except Exception:
-            self.corrupt += 1
-            return None
-        if not isinstance(result, CellResult) or result.key != key:
-            self.corrupt += 1
-            return None
-        return result
 
     def _remember(self, key: str, result: CellResult) -> None:
         if not self.hot_set:
@@ -229,23 +199,3 @@ class ShardedResultCache(ResultCache):
         self.flushes += 1
         for result in batch:
             self._write(result)
-
-    def _write(self, result: CellResult) -> None:
-        """One atomic on-disk publish (temp file + ``os.replace``), with
-        the base class's swallow-IO-errors contract."""
-        path = self.path_for(result.key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(result, fh)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass

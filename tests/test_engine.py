@@ -1,7 +1,12 @@
 """The cell execution engine: keys, cache, parallelism, and plans."""
 
 import dataclasses
+import gc
+import hashlib
+import json
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -88,6 +93,158 @@ class TestCellKey:
     def test_rejects_unknown_collector(self, lusearch, fast_config):
         with pytest.raises(UnknownCollectorError):
             make_cell(lusearch, collector="CMS", config=fast_config)
+
+
+def golden_cells():
+    """Cells whose keys are pinned literally: any change to the key
+    schema, the canonical encoding or the field order shows up here."""
+    fop = registry.workload("fop")
+    lusearch = registry.workload("lusearch")
+    assert fop.requests is None and lusearch.requests is not None
+    fast = RunConfig(invocations=2, iterations=2, duration_scale=0.05)
+    custom = RunConfig(
+        iterations=3,
+        machine=Machine(cores=8, smt=1, base_clock_ghz=3.2, llc_mb=32.0, name="eight-core"),
+        tuning=GcTuning(mark_rate_mb_s=1999.5, pause_floor_s=0.0002),
+        duration_scale=0.3,
+        environment=EnvironmentProfile(
+            slow_memory=True, llc_fraction=0.25, frequency_boost=True, compiler="c2-only"
+        ),
+    )
+    return {
+        "default": Cell(fop, "G1", fop.heap_mb_for(2.0), 0, RunConfig()),
+        "aggregate": Cell(
+            fop, "Parallel", fop.heap_mb_for(3.0), 1,
+            RunConfig(duration_scale=0.05, fidelity="aggregate"),
+        ),
+        "custom-config": Cell(fop, "ZGC", fop.heap_mb_for(1.5), 0, custom),
+        "latency-workload": Cell(
+            lusearch, "Shenandoah", lusearch.heap_mb_for(2.0), 0, fast
+        ),
+        "non-dyadic-heap": Cell(lusearch, "Serial", lusearch.minheap_mb * 4 / 3, 7, fast),
+        "full-fidelity": Cell(
+            fop, "GenZGC", fop.heap_mb_for(6.0), 2,
+            RunConfig(iterations=2, duration_scale=0.05, fidelity="full"),
+        ),
+    }
+
+
+#: sha256 keys of :func:`golden_cells` under schema 3.  Existing caches
+#: are addressed by these; a change here orphans every cached entry.
+GOLDEN_KEYS = {
+    "default": "21288c21e6124f4bff9ca339f48b0a9db771ba4a3c7c80db70d88f17f3ef9ac7",
+    "aggregate": "c789f96106d00ffca357d7cd5ffff0b5a783dbaf463a913bcaed1f06dd927ccd",
+    "custom-config": "cb59d062170f90e912e7808522800238efea2fd09d9614a07ac88ba389900975",
+    "latency-workload": "e96228aa58e3fda8d2402b737affc2785cb499410ed9eb59fb20f10218ac8216",
+    "non-dyadic-heap": "be82375436f86654bd583bd3f7de6d91b9a69f5a410399de0f04243c3c1842e1",
+    "full-fidelity": "7d497c452b95042153949948eb2dec4e30da0005d210394301dcdd0817452dee",
+}
+
+
+def memo_free_key(cell):
+    """The key recomputed from scratch: one ``json.dumps`` of the whole
+    canonical payload, no memo."""
+    config = cell.config
+    canonical = engine_mod._canonical
+    payload = {
+        "schema": engine_mod.ENGINE_SCHEMA_VERSION,
+        "workload": canonical(cell.spec),
+        "collector": cell.collector,
+        "heap_mb": canonical(float(cell.heap_mb)),
+        "invocation": cell.invocation,
+        "iterations": config.iterations,
+        "machine": canonical(config.machine),
+        "tuning": canonical(config.tuning),
+        "duration_scale": canonical(float(config.duration_scale)),
+        "environment": canonical(config.environment),
+    }
+    if config.fidelity not in (None, "full"):
+        payload["fidelity"] = config.fidelity
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class TestGoldenKeys:
+    def test_keys_are_pinned(self):
+        assert {name: cell_key(c) for name, c in golden_cells().items()} == GOLDEN_KEYS
+
+    def test_pinned_keys_are_memo_free_keys(self):
+        for cell in golden_cells().values():
+            assert cell_key(cell) == memo_free_key(cell)
+
+
+class TestKeyMemo:
+    def variant(self, base, i):
+        return dataclasses.replace(base, alloc_rate_mb_s=base.alloc_rate_mb_s + i)
+
+    def test_warm_memo_gives_the_pinned_keys(self):
+        cells = golden_cells()
+        engine_mod._FRAGMENTS.clear()
+        cold = {name: cell_key(c) for name, c in cells.items()}
+        warm = {name: cell_key(c) for name, c in cells.items()}
+        assert cold == warm == GOLDEN_KEYS
+
+    def test_reused_ids_never_serve_a_stale_fragment(self, lusearch, fast_config):
+        spec = self.variant(lusearch, 0)
+        cell_key(make_cell(spec, config=fast_config))
+        del spec
+        gc.collect()
+        other = make_cell(self.variant(lusearch, 1), config=fast_config)
+        assert cell_key(other) == memo_free_key(other)
+        # Once the memo evicts a dropped spec, the allocator hands its
+        # address (its id) to a later, value-different spec, which must
+        # still get its own key.
+        seen, reused = set(), 0
+        for i in range(2, 3 * engine_mod._FRAGMENT_MEMO_SIZE):
+            cell = make_cell(self.variant(lusearch, i), config=fast_config)
+            reused += id(cell.spec) in seen
+            seen.add(id(cell.spec))
+            assert cell_key(cell) == memo_free_key(cell)
+        assert reused  # CPython reuses freed addresses: the hazard was exercised
+
+    def test_memo_stays_bounded(self, lusearch, fast_config):
+        specs = [self.variant(lusearch, i) for i in range(2 * engine_mod._FRAGMENT_MEMO_SIZE)]
+        for spec in specs:
+            cell_key(make_cell(spec, config=fast_config))
+            assert len(engine_mod._FRAGMENTS) <= engine_mod._FRAGMENT_MEMO_SIZE
+        assert len(engine_mod._FRAGMENTS) == engine_mod._FRAGMENT_MEMO_SIZE
+
+    def test_concurrent_keys_equal_serial_keys(self, lusearch, fast_config):
+        # More distinct specs than the memo holds, so threads insert and
+        # evict concurrently; a short switch interval interleaves them.
+        specs = [
+            self.variant(lusearch, i) for i in range(engine_mod._FRAGMENT_MEMO_SIZE + 72)
+        ]
+        cells = [
+            make_cell(spec, collector=collector, config=fast_config)
+            for spec in specs
+            for collector in ("G1", "ZGC")
+        ]
+        serial = [memo_free_key(c) for c in cells]
+        engine_mod._FRAGMENTS.clear()
+        start = threading.Barrier(4)
+        found = [None] * 4
+
+        def worker(slot):
+            start.wait()
+            if slot % 2:
+                found[slot] = [cell_key(c) for c in reversed(cells)][::-1]
+            else:
+                found[slot] = [cell_key(c) for c in cells]
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert found == [serial] * 4
+        assert len(engine_mod._FRAGMENTS) <= engine_mod._FRAGMENT_MEMO_SIZE
 
 
 class TestResultCache:

@@ -1,15 +1,21 @@
 """Lower Bound Overhead methodology."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.lbo import (
+    LboCurves,
+    LboPoint,
     RunCosts,
     costs_from_iteration,
     distill_baseline,
     geomean_curves,
     lbo_curves,
 )
+from repro.core.stats import ConfidenceInterval, t_critical_975
 
 
 def costs(wall, task, stw=0.0, gc_cpu=0.0):
@@ -147,3 +153,62 @@ def test_property_overhead_at_least_one_within_single_config(wall, stw_frac, ext
     c = costs(wall + extra, wall + extra, stw=wall * stw_frac)
     curves = lbo_curves("x", {("C", 2.0): [c]})
     assert curves.point("wall", "C", 2.0).overhead.mean >= 1.0
+
+
+def per_point_ci(samples):
+    """The per-point confidence interval of the original LBO loop."""
+    arr = np.asarray(samples, dtype=float)
+    mean = float(np.mean(arr))
+    if arr.size == 1:
+        return ConfidenceInterval(mean=mean, half_width=math.inf, n=1)
+    sem = float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+    return ConfidenceInterval(
+        mean=mean, half_width=t_critical_975(arr.size - 1) * sem, n=arr.size
+    )
+
+
+def per_point_lbo_curves(benchmark, table):
+    """LBO curves computed one (collector, heap) point at a time."""
+    baseline_wall = min(
+        per_point_ci([c.distilled_wall_s for c in runs]).mean for runs in table.values()
+    )
+    baseline_task = min(
+        per_point_ci([c.distilled_task_s for c in runs]).mean for runs in table.values()
+    )
+    wall, task = {}, {}
+    for (collector, multiple), runs in sorted(table.items()):
+        wall.setdefault(collector, []).append(
+            LboPoint(multiple, per_point_ci([c.wall_s / baseline_wall for c in runs]))
+        )
+        task.setdefault(collector, []).append(
+            LboPoint(multiple, per_point_ci([c.task_s / baseline_task for c in runs]))
+        )
+    return LboCurves(benchmark, wall, task, baseline_wall, baseline_task)
+
+
+def random_table(rng, invocations):
+    """A cost table over 5 collectors x 8 heaps; ``invocations`` may be a
+    tuple, giving points of mixed sample counts."""
+    counts = invocations if isinstance(invocations, tuple) else (invocations,)
+    table = {}
+    for i, collector in enumerate(("Serial", "Parallel", "G1", "Shenandoah", "ZGC")):
+        for j, multiple in enumerate((1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0)):
+            runs = []
+            for _ in range(counts[(i + j) % len(counts)]):
+                wall = rng.uniform(1.0, 3.0)
+                task = rng.uniform(1.0, 6.0)
+                runs.append(costs(wall, task, stw=wall * rng.uniform(0, 0.3),
+                                  gc_cpu=task * rng.uniform(0, 0.5)))
+            table[(collector, multiple)] = runs
+    return table
+
+
+@pytest.mark.parametrize("invocations", [1, 2, 5, 10, (2, 5, 1)])
+def test_curves_equal_the_per_point_loop_exactly(invocations):
+    rng = np.random.default_rng(11)
+    tables = [random_table(rng, invocations) for _ in range(3)]
+    batched = [lbo_curves(f"b{i}", t) for i, t in enumerate(tables)]
+    reference = [per_point_lbo_curves(f"b{i}", t) for i, t in enumerate(tables)]
+    assert batched == reference
+    for metric in ("wall", "task"):
+        assert geomean_curves(batched, metric) == geomean_curves(reference, metric)

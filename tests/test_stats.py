@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from repro.core.stats import (
     LATENCY_PERCENTILES,
     confidence_interval_95,
+    confidence_intervals_95,
     geometric_mean,
     percentile,
     percentile_ladder,
@@ -89,6 +90,58 @@ class TestConfidenceInterval:
         ci = confidence_interval_95([1.0, 2.0, 3.0])
         assert ci.low == pytest.approx(ci.mean - ci.half_width)
         assert ci.high == pytest.approx(ci.mean + ci.half_width)
+
+
+def per_row_ci(row):
+    """The per-row formula the batched intervals must reproduce."""
+    arr = np.asarray(row, dtype=float)
+    mean = float(np.mean(arr))
+    if arr.size == 1:
+        return mean, math.inf
+    sem = float(np.std(arr, ddof=1)) / math.sqrt(arr.size)
+    return mean, t_critical_975(arr.size - 1) * sem
+
+
+@st.composite
+def mixed_rows(draw):
+    """Rows of a few shared lengths in 1..32, interleaved."""
+    lengths = draw(st.lists(st.integers(1, 32), min_size=1, max_size=4))
+    value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+    rows = [
+        draw(st.lists(value, min_size=n, max_size=n))
+        for n in lengths
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return draw(st.permutations(rows))
+
+
+class TestConfidenceIntervals:
+    @given(mixed_rows())
+    def test_bit_identical_to_per_row_formula(self, rows):
+        cis = confidence_intervals_95(rows)
+        assert len(cis) == len(rows)
+        for row, ci in zip(rows, cis):
+            mean, half_width = per_row_ci(row)
+            assert ci.n == len(row)
+            assert ci.mean.hex() == mean.hex()
+            assert ci.half_width.hex() == half_width.hex()
+
+    def test_single_sample_rows_are_infinite(self):
+        cis = confidence_intervals_95([[2.0], [1.0, 3.0], [4.0]])
+        assert [ci.n for ci in cis] == [1, 2, 1]
+        assert math.isinf(cis[0].half_width) and math.isinf(cis[2].half_width)
+        assert math.isfinite(cis[1].half_width)
+
+    def test_rejects_an_empty_row(self):
+        with pytest.raises(ValueError):
+            confidence_intervals_95([[1.0, 2.0], []])
+
+    def test_no_rows(self):
+        assert confidence_intervals_95([]) == []
+
+    def test_one_row_case_is_the_scalar_function(self):
+        row = [1.25, 1.5, 1.0625, 1.75, 1.3]
+        assert confidence_intervals_95([row]) == [confidence_interval_95(row)]
 
 
 class TestTCritical:
