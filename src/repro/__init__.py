@@ -22,8 +22,9 @@ simulated JVM:
 - :mod:`repro.planner` - the adaptive sweep planner: curve models fit
   from completed cells, deterministic acquisition policies, CV-based
   cell grading, and gmean collector ranking.
-- :mod:`repro.resilience` - retries, timeouts, checkpoint/resume, and
-  deterministic fault injection for production-scale sweeps.
+- :mod:`repro.resilience` - retries, timeouts, supervision, cache
+  self-healing, and deterministic fault injection for production-scale
+  sweeps.
 - :mod:`repro.service` - the long-running sweep service behind ``chopin
   serve``: an HTTP/JSON job queue over the engine with a sharded
   multi-tenant result cache.
@@ -79,7 +80,6 @@ from repro.harness.experiments import (
 )
 from repro.resilience import (
     CellExecutionError,
-    CheckpointJournal,
     CircuitBreaker,
     CostModel,
     FaultInjector,
@@ -87,7 +87,6 @@ from repro.resilience import (
     NullInjector,
     RetryPolicy,
     Supervisor,
-    compact_journal,
     scan_cache,
     verify_cells,
 )
@@ -199,7 +198,6 @@ __all__ = [
     "CellOutcome",
     "CellExecutionError",
     "ChaosDrill",
-    "CheckpointJournal",
     "CircuitBreaker",
     "CollectorScore",
     "CostModel",
@@ -262,7 +260,6 @@ __all__ = [
     "chaos_drill",
     "characterize",
     "chrome_trace",
-    "compact_journal",
     "compare_collectors",
     "confidence_interval_95",
     "costs_from_iteration",

@@ -50,7 +50,6 @@ from repro.resilience import (
     CostModel,
     Supervisor,
     compact_jobs_journal,
-    compact_journal,
     scan_cache,
     scan_jobs_journal,
     verify_cells,
@@ -178,13 +177,6 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         help="per-cell wall-clock timeout in seconds (hung cells are retried)",
     )
     parser.add_argument(
-        "--resume",
-        default=None,
-        metavar="JOURNAL",
-        help="checkpoint journal path: completed cells are journalled and an "
-        "interrupted sweep resumes from where it stopped",
-    )
-    parser.add_argument(
         "--chaos-rate",
         type=_rate,
         default=None,
@@ -203,7 +195,8 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help="wall-clock deadline budget: cells the cost model says cannot "
-        "finish in time become typed holes a --resume run can fill",
+        "finish in time become typed holes a re-run with the same "
+        "--cache-dir fills",
     )
     parser.add_argument(
         "--breaker-threshold",
@@ -254,15 +247,13 @@ def _config(args: argparse.Namespace) -> RunConfig:
 def _supervisor(config: HarnessConfig, args: argparse.Namespace) -> Optional[Supervisor]:
     if config.budget_s is None and config.breaker_threshold is None:
         return None
-    if config.resume:
-        hint = f"re-run the same command with --resume {config.resume} to fill them"
-    elif config.effective_cache_dir:
+    if config.effective_cache_dir:
         hint = (
             f"re-run the same command with --cache-dir "
             f"{config.effective_cache_dir} to fill them"
         )
     else:
-        hint = "re-run with --cache-dir or --resume to make the holes fillable"
+        hint = "re-run with --cache-dir to make the holes fillable"
     return Supervisor(
         budget_s=config.budget_s,
         breaker_threshold=config.breaker_threshold,
@@ -280,7 +271,6 @@ def _engine(args: argparse.Namespace) -> ExecutionEngine:
         progress=True if args.cell_progress else None,
         retries=args.retries,
         cell_timeout_s=args.cell_timeout,
-        resume=args.resume,
         chaos_rate=args.chaos_rate,
         chaos_seed=args.chaos_seed,
         budget_s=getattr(args, "budget", None),
@@ -318,10 +308,9 @@ def cmd_lbo(args: argparse.Namespace) -> int:
         print(format_lbo_curves(curves, "task"))
         return 0
     # Supervised sweeps run in partial mode under signal handlers: the
-    # first Ctrl-C drains (journal and cache stay consistent, a resume
-    # hint is printed), refused cells become typed holes, and the exit
-    # is clean either way — a budget-truncated sweep is a result, not an
-    # error.
+    # first Ctrl-C drains (the cache stays consistent, a resume hint is
+    # printed), refused cells become typed holes, and the exit is clean
+    # either way — a budget-truncated sweep is a result, not an error.
     with engine.supervisor:
         sweep = supervised_sweep(
             spec,
@@ -342,7 +331,8 @@ def cmd_lbo(args: argparse.Namespace) -> int:
         print(
             f"supervision: {len(sweep.holes)}/{sweep.cells} cells incomplete "
             f"({stats.budget_skipped} over budget, {stats.breaker_skipped} "
-            f"breaker-open, {stats.drained} drained, {stats.gave_up} gave up)",
+            f"breaker-open, {stats.drained} drained, {stats.gave_up} gave up); "
+            f"{engine.supervisor.resume_hint}",
             file=sys.stderr,
         )
     return 0
@@ -735,14 +725,6 @@ def cmd_doctor(args: argparse.Namespace) -> int:
         )
     elif scan.unhealthy and args.dry_run:
         print(f"doctor: dry run — {scan.unhealthy} unhealthy entries left in place")
-    if args.journal:
-        compaction = compact_journal(args.journal)
-        print(
-            f"doctor: journal {compaction.lines_before} -> "
-            f"{compaction.lines_after} lines ({compaction.torn} torn, "
-            f"{compaction.duplicates} duplicate"
-            f"{'' if compaction.compacted else '; already clean'})"
-        )
     if args.jobs_journal:
         jobs_scan = scan_jobs_journal(args.jobs_journal)
         states = ", ".join(
@@ -798,7 +780,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         progress=True if args.cell_progress else None,
         retries=args.retries,
         cell_timeout_s=args.cell_timeout,
-        resume=args.resume,
         chaos_rate=args.chaos_rate,
         chaos_seed=args.chaos_seed,
         budget_s=args.budget,
@@ -1143,18 +1124,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.set_defaults(func=cmd_chaos)
 
     p_doc = sub.add_parser(
-        "doctor", help="self-heal the result cache and checkpoint journal"
+        "doctor", help="self-heal the result cache and the service job journal"
     )
     p_doc.add_argument(
         "--cache-dir",
         required=True,
         help="result-cache directory to scan (corrupt/stale/misplaced entries "
         "are quarantined, never deleted)",
-    )
-    p_doc.add_argument(
-        "--journal",
-        default=None,
-        help="checkpoint journal to compact (torn lines dropped, duplicates collapsed)",
     )
     p_doc.add_argument(
         "--jobs-journal",

@@ -25,7 +25,6 @@ Recognised environment variables (one per :class:`HarnessConfig` field):
 ``CHOPIN_PROGRESS``    log per-cell progress to stderr (any non-empty value)
 ``CHOPIN_RETRIES``     retry budget per cell for transient failures
 ``CHOPIN_CELL_TIMEOUT`` per-cell wall-clock timeout in seconds
-``CHOPIN_RESUME``      checkpoint journal path (interrupted sweeps resume)
 ``CHOPIN_CHAOS_RATE``  seeded fault-injection rate in [0, 1]
 ``CHOPIN_CHAOS_SEED``  seed for deterministic fault injection
 ``CHOPIN_BUDGET``      wall-clock deadline budget in seconds (supervisor)
@@ -75,7 +74,6 @@ class HarnessConfig:
     progress: bool = False
     retries: int = 0
     cell_timeout_s: Optional[float] = None
-    resume: Optional[str] = None
     chaos_rate: Optional[float] = None
     chaos_seed: int = 0
     budget_s: Optional[float] = None
@@ -171,7 +169,6 @@ def _from_environ(environ: Mapping[str, str]) -> HarnessConfig:
         progress=bool(environ.get("CHOPIN_PROGRESS")),
         retries=_env_int(environ, "CHOPIN_RETRIES", 0, "3"),
         cell_timeout_s=_env_float(environ, "CHOPIN_CELL_TIMEOUT", None, "30.0"),
-        resume=environ.get("CHOPIN_RESUME") or None,
         chaos_rate=_env_float(environ, "CHOPIN_CHAOS_RATE", None, "0.1"),
         chaos_seed=_env_int(environ, "CHOPIN_CHAOS_SEED", 0, "42"),
         budget_s=_env_float(environ, "CHOPIN_BUDGET", None, "600"),
@@ -282,7 +279,7 @@ def engine_from_config(config: HarnessConfig, supervisor=None, cache=None):
     resolved configuration.
 
     ``supervisor`` overrides the one the config would imply — the CLI
-    passes a supervisor carrying a resume hint; when omitted, a
+    passes a supervisor whose drain hint names its cache; when omitted, a
     supervisor is attached iff ``budget_s`` or ``breaker_threshold`` is
     set.
 
@@ -328,7 +325,6 @@ def engine_from_config(config: HarnessConfig, supervisor=None, cache=None):
         progress=LogSink() if config.progress else None,
         retry=retry,
         injector=injector,
-        checkpoint=config.resume,
         supervisor=supervisor,
         batch=config.batch,
     )

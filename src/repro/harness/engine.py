@@ -45,12 +45,13 @@ chunks of attempts across a worker pool.
 
 Resilience (:mod:`repro.resilience`) extends the guarantee to failure:
 an :class:`~repro.resilience.FaultInjector` injects seeded chaos into
-attempts, a :class:`~repro.resilience.RetryPolicy` bounds timeouts and
-backoff, and a :class:`~repro.resilience.CheckpointJournal` makes
-interrupted sweeps resumable.  Faults replace or delay attempts but
-never perturb a successful simulation, so a chaos run that converges is
-bit-identical to a fault-free one.  All of it is off by default — one
-attempt, no timeout, no faults — which the same loops run as is.
+attempts and a :class:`~repro.resilience.RetryPolicy` bounds timeouts
+and backoff.  Faults replace or delay attempts but never perturb a
+successful simulation, so a chaos run that converges is bit-identical
+to a fault-free one.  All of it is off by default — one attempt, no
+timeout, no faults — which the same loops run as is.  An interrupted
+sweep resumes by re-running it against the same cache: every cell that
+finished is an entry there, so only the missing cells execute.
 """
 
 from __future__ import annotations
@@ -83,7 +84,6 @@ from repro.observability import events as flight
 from repro.resilience import (
     CellExecutionError,
     CellTimeout,
-    CheckpointJournal,
     FaultInjector,
     FaultSpec,
     NullInjector,
@@ -575,7 +575,6 @@ class EngineStats:
     timeouts: int = 0  # attempts that blew the per-cell timeout
     gave_up: int = 0  # cells that exhausted their retry budget (holes)
     corrupt: int = 0  # cache entries that existed but failed to load
-    resumed: int = 0  # cache hits confirmed by the checkpoint journal
     budget_skipped: int = 0  # cells refused by the deadline budget
     breaker_skipped: int = 0  # cells refused by an open circuit breaker
     drained: int = 0  # cells refused by a graceful-shutdown drain
@@ -607,21 +606,10 @@ class EngineStats:
         """The counter delta ``self - other`` — per-batch stats from two
         lifetime snapshots."""
         return EngineStats(
-            executed=self.executed - other.executed,
-            cached=self.cached - other.cached,
-            oom=self.oom - other.oom,
-            skipped=self.skipped - other.skipped,
-            negative_hits=self.negative_hits - other.negative_hits,
-            execute_s=self.execute_s - other.execute_s,
-            retries=self.retries - other.retries,
-            timeouts=self.timeouts - other.timeouts,
-            gave_up=self.gave_up - other.gave_up,
-            corrupt=self.corrupt - other.corrupt,
-            resumed=self.resumed - other.resumed,
-            budget_skipped=self.budget_skipped - other.budget_skipped,
-            breaker_skipped=self.breaker_skipped - other.breaker_skipped,
-            drained=self.drained - other.drained,
-            faults=self.faults - other.faults,
+            **{
+                f.name: getattr(self, f.name) - getattr(other, f.name)
+                for f in dataclasses.fields(EngineStats)
+            }
         )
 
 
@@ -702,16 +690,16 @@ class ExecutionEngine:
     with the recorder on or off, and cache hits still appear in the trace
     as zero-work hit spans.
 
-    Resilience is opt-in through three more collaborators, all inert by
+    Resilience is opt-in through two more collaborators, both inert by
     default: ``retry`` (a :class:`~repro.resilience.RetryPolicy` adding
-    per-cell timeouts and bounded backoff), ``injector`` (a
+    per-cell timeouts and bounded backoff) and ``injector`` (a
     :class:`~repro.resilience.FaultInjector` injecting seeded chaos into
-    attempts), and ``checkpoint`` (a
-    :class:`~repro.resilience.CheckpointJournal` — or a path to one —
-    journalling completed cells so interrupted sweeps resume).  Inert
-    collaborators still run every miss through the same attempt loop, so
-    the defaults — one attempt, no timeout, no chaos — are simply the
-    loop's smallest case, with the same error contract.
+    attempts).  Inert collaborators still run every miss through the
+    same attempt loop, so the defaults — one attempt, no timeout, no
+    chaos — are simply the loop's smallest case, with the same error
+    contract.  Resuming needs no collaborator: the cache holds every
+    finished cell, so re-running a sweep on the same cache executes
+    only what is missing.
 
     ``supervisor`` attaches a :class:`~repro.resilience.Supervisor`: the
     engine then consults it before starting each cache-missed cell
@@ -720,7 +708,7 @@ class ExecutionEngine:
     *whether* a cell runs, never *how* — cells that do run are
     bit-identical with or without a supervisor, and refused cells become
     typed holes (``reason`` of ``budget``/``breaker``/``drained``) a
-    resume run can fill.
+    re-run on the same cache fills.
     """
 
     def __init__(
@@ -731,7 +719,6 @@ class ExecutionEngine:
         recorder: Optional[RecorderLike] = None,
         retry: Optional[RetryPolicy] = None,
         injector: Optional[NullInjector] = None,
-        checkpoint: Optional[Union[str, Path, CheckpointJournal]] = None,
         supervisor: Optional[Supervisor] = None,
         batch: bool = False,
         cache: Optional[ResultCache] = None,
@@ -762,9 +749,6 @@ class ExecutionEngine:
         self.recorder = recorder if recorder is not None else flight.NullRecorder()
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector if injector is not None else NullInjector()
-        if isinstance(checkpoint, (str, Path)):
-            checkpoint = CheckpointJournal(checkpoint)
-        self.checkpoint = checkpoint
         # An attached supervisor makes the miss loops consult it even
         # when it has no budget or breaker — a signal-initiated drain
         # must still work.
@@ -800,12 +784,7 @@ class ExecutionEngine:
         runs through the same attempt bookkeeping either way; a resilient
         engine only declines the batch kernel, whose precomputed rows
         cannot be retried, timed, faulted or refused cell by cell."""
-        return (
-            self.injector.enabled
-            or self.retry.active
-            or self.checkpoint is not None
-            or self._supervised
-        )
+        return self.injector.enabled or self.retry.active or self._supervised
 
     def run_cells(
         self,
@@ -846,24 +825,12 @@ class ExecutionEngine:
         misses: List[int] = []
         hit_indices = set()
         cache_corrupt_before = self.cache.corrupt if self.cache is not None else 0
-        journal_done = (
-            self.checkpoint.completed() if self.checkpoint is not None else frozenset()
-        )
         for idx, (cell, key) in enumerate(keyed):
             hit = self.cache.get(key) if self.cache is not None else None
             if hit is not None:
                 results[idx] = hit
                 hit_indices.add(idx)
                 self.stats.cached += 1
-                if self.checkpoint is not None:
-                    if key in journal_done:
-                        self.stats.resumed += 1
-                    else:
-                        # A hit the journal missed (e.g. the interrupt
-                        # landed between cache write and journal append):
-                        # journal it now so the manifest converges on the
-                        # full sweep.
-                        self.checkpoint.record(key, oom=hit.oom is not None)
                 if hit.oom is not None:
                     self.stats.oom += 1
                     self.stats.negative_hits += 1
@@ -891,9 +858,9 @@ class ExecutionEngine:
         if self._supervised and self.supervisor.draining:
             drained = sum(1 for h in holes if h.reason == "drained")
             if drained:
-                # Everything completed is already durable (fsync'd
-                # journal appends, atomic cache writes) — announce the
-                # clean drain and how to pick the sweep back up.
+                # Everything completed is already durable (atomic cache
+                # writes) — announce the clean drain and how to pick the
+                # sweep back up.
                 self.supervisor.drain_finished(drained)
         if partial:
             return PartialBatch(results=list(results), holes=holes)
@@ -1201,16 +1168,14 @@ class ExecutionEngine:
         self, idx: int, cell: Cell, key: str, result: CellResult
     ) -> None:
         """Post-success bookkeeping for every executed miss: stats + cache
-        (via ``_record``), checkpoint journal, and injected cache-entry
-        corruption (*after* the write, so the tear is observed by the
-        next reader, exactly like real disk rot)."""
+        (via ``_record``), the supervisor's cost model, and injected
+        cache-entry corruption (*after* the write, so the tear is observed
+        by the next reader, exactly like real disk rot)."""
         self._record(cell, result)
         if self._supervised:
             # Feed the cost model (and close any half-open breaker): a
             # negative result still counts — the harness *ran* the cell.
             self.supervisor.observe(cell.spec.name, cell.collector, result.duration_s)
-        if self.checkpoint is not None:
-            self.checkpoint.record(key, oom=result.oom is not None)
         if self.injector.enabled and self.cache is not None and self.injector.corrupts(key):
             if corrupt_entry(self.cache.path_for(key)):
                 self.stats.faults += 1
@@ -1376,13 +1341,12 @@ def engine_from_env(environ=os.environ) -> ExecutionEngine:
     shared with the ``chopin`` CLI.  Recognised: ``CHOPIN_JOBS``,
     ``CHOPIN_CACHE_DIR``, ``CHOPIN_NO_CACHE``, ``CHOPIN_PROGRESS``,
     ``CHOPIN_RETRIES``, ``CHOPIN_CELL_TIMEOUT`` (seconds),
-    ``CHOPIN_RESUME`` (checkpoint journal path), ``CHOPIN_CHAOS_RATE``,
-    ``CHOPIN_CHAOS_SEED``, ``CHOPIN_BUDGET`` (wall-clock deadline
-    budget, seconds), ``CHOPIN_BREAKER`` (circuit-breaker threshold,
-    consecutive give-ups), ``CHOPIN_FIDELITY``, and ``CHOPIN_BATCH``
-    (vectorized batch execution).  Malformed values raise a
-    ``ValueError`` naming the variable and the accepted format instead
-    of a bare parse error.
+    ``CHOPIN_CHAOS_RATE``, ``CHOPIN_CHAOS_SEED``, ``CHOPIN_BUDGET``
+    (wall-clock deadline budget, seconds), ``CHOPIN_BREAKER``
+    (circuit-breaker threshold, consecutive give-ups),
+    ``CHOPIN_FIDELITY``, and ``CHOPIN_BATCH`` (vectorized batch
+    execution).  Malformed values raise a ``ValueError`` naming the
+    variable and the accepted format instead of a bare parse error.
     """
     from repro.harness.config import engine_from_config, harness_config
 

@@ -472,8 +472,8 @@ def supervised_sweep(
     cell; ``result`` is then ``None`` instead of an
     ``OutOfMemoryError`` escaping from an empty LBO table).  Cells that
     do run are bit-identical to an unsupervised sweep; refused cells are
-    absent from the cache and the journal, so a follow-up run with the
-    same ``--cache-dir``/``--resume`` executes exactly the missing cells.
+    absent from the cache, so a follow-up run with the same
+    ``--cache-dir`` executes exactly the missing cells.
     """
     if supervisor is None:
         supervisor = Supervisor(budget_s=budget_s, breaker_threshold=breaker_threshold)

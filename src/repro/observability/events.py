@@ -234,7 +234,8 @@ class BudgetExceeded(TraceEvent):
     ``estimate_s`` is the EWMA cost model's prediction for the family's
     next cell and ``remaining_s`` the wall-clock budget left when the
     decision was made (0 when the deadline had already passed).  The
-    cell becomes a ``Hole(reason="budget")`` a resume run can fill.
+    cell becomes a ``Hole(reason="budget")`` a re-run on the same cache
+    fills.
     """
 
     family: str = ""
@@ -259,7 +260,7 @@ class BreakerOpened(TraceEvent):
 @dataclass(frozen=True)
 class DrainStarted(TraceEvent):
     """Graceful shutdown began: no new cells start, in-flight cells
-    finish and are journalled.  ``signal`` names the trigger (SIGINT,
+    finish and are cached.  ``signal`` names the trigger (SIGINT,
     SIGTERM, or a programmatic drain request)."""
 
     signal: str = ""

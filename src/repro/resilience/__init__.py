@@ -1,4 +1,4 @@
-"""repro.resilience — fault injection, retries, and checkpointed sweeps.
+"""repro.resilience — fault injection, retries, and supervised sweeps.
 
 The execution engine's answer to failure at production scale, in three
 parts that compose:
@@ -10,14 +10,16 @@ parts that compose:
 - :mod:`.retry` — the :class:`RetryPolicy` (per-cell timeouts, bounded
   exponential backoff with deterministic jitter) and the
   transient-vs-permanent taxonomy (:func:`classify`);
-- :mod:`.checkpoint` — the append-only :class:`CheckpointJournal` that
-  makes interrupted sweeps resumable on top of the result cache;
 - :mod:`.supervisor` — the :class:`Supervisor` that wraps a whole sweep:
   wall-clock deadline budgets (EWMA cost model), per-family circuit
   breakers with half-open probes, and graceful SIGINT/SIGTERM drains;
 - :mod:`.doctor` — cache/journal self-healing behind ``chopin doctor``:
-  quarantine corrupt/stale/misplaced cache entries, compact the
-  checkpoint journal, re-verify sampled cells against recomputation.
+  quarantine corrupt/stale/misplaced cache entries, compact the service
+  job journal, re-verify sampled cells against recomputation.
+
+An interrupted sweep needs no resume record of its own: every finished
+cell is an entry in the content-addressed result cache, so re-running
+the sweep on the same cache executes only the missing cells.
 
 Design contract, mirrored from the flight recorder: resilience is
 *observational about results*.  An injected fault replaces or delays an
@@ -26,15 +28,12 @@ converges produces bit-identical results to a fault-free run — pinned by
 tests, and checked in CI by the chaos smoke job.
 """
 
-from repro.resilience.checkpoint import CheckpointJournal
 from repro.resilience.doctor import (
     CacheScan,
     JobsJournalCompaction,
     JobsJournalScan,
-    JournalCompaction,
     VerifyReport,
     compact_jobs_journal,
-    compact_journal,
     scan_cache,
     scan_jobs_journal,
     verify_cells,
@@ -73,7 +72,6 @@ __all__ = [
     "CacheScan",
     "CellExecutionError",
     "CellTimeout",
-    "CheckpointJournal",
     "CircuitBreaker",
     "CostModel",
     "EXECUTION_FAULTS",
@@ -83,7 +81,6 @@ __all__ = [
     "InjectedFault",
     "JobsJournalCompaction",
     "JobsJournalScan",
-    "JournalCompaction",
     "NullInjector",
     "NullServiceInjector",
     "RetryPolicy",
@@ -99,7 +96,6 @@ __all__ = [
     "WorkerCrash",
     "classify",
     "compact_jobs_journal",
-    "compact_journal",
     "corrupt_entry",
     "scan_cache",
     "scan_jobs_journal",

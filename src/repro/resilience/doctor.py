@@ -14,16 +14,16 @@ noise.  This module repairs instead of tolerating:
   (unreadable or not a result), ``stale`` (a result object missing
   fields the current schema requires), ``misplaced`` (a valid result
   filed under the wrong key — a torn rename or a copied cache);
-- :func:`compact_journal` rewrites the append-only checkpoint journal:
-  torn lines dropped, duplicate keys collapsed to one line, the rewrite
-  crash-safe (temp file + fsync + atomic rename) so the doctor itself
-  cannot tear the journal it is healing;
+- :func:`scan_jobs_journal` / :func:`compact_jobs_journal` triage and
+  compact a stopped service's job journal from the same fold the queue
+  replays on restart, the rewrite crash-safe (temp file + fsync + atomic
+  rename) so the doctor itself cannot tear the journal it is healing;
 - :func:`verify_cells` re-simulates a deterministic sample of cached
   cells and compares payloads bit-for-bit — the last line of defence
   against *plausible* corruption (an entry that unpickles fine but
   carries wrong numbers), quarantining any mismatch.
 
-Engine imports are deferred inside functions: the engine imports
+Engine and service imports are deferred inside functions: both import
 :mod:`repro.resilience`, so a module-level import here would be a cycle.
 """
 
@@ -60,17 +60,6 @@ class CacheScan:
     @property
     def unhealthy(self) -> int:
         return self.corrupt + self.stale + self.misplaced
-
-
-@dataclass
-class JournalCompaction:
-    """Before/after accounting for :func:`compact_journal`."""
-
-    lines_before: int = 0
-    lines_after: int = 0
-    torn: int = 0  # unparseable or foreign lines dropped
-    duplicates: int = 0  # repeat keys collapsed
-    compacted: bool = False  # False: journal was missing or already clean
 
 
 @dataclass
@@ -176,60 +165,6 @@ def scan_cache(root: Union[str, Path], quarantine: bool = True) -> CacheScan:
     return scan
 
 
-def compact_journal(path: Union[str, Path]) -> JournalCompaction:
-    """Rewrite a checkpoint journal: drop torn lines, collapse duplicates.
-
-    The rewrite is crash-safe (temp file in the same directory, fsync,
-    atomic rename) and preserves first-seen order, so a journal the
-    doctor compacts resumes exactly the cells the original did.  A
-    missing or already-clean journal is left untouched.
-    """
-    path = Path(path)
-    report = JournalCompaction()
-    try:
-        text = path.read_text()
-    except OSError:
-        return report
-    seen: Dict[str, str] = {}
-    for line in text.splitlines():
-        if line:
-            report.lines_before += 1
-        else:
-            continue
-        try:
-            entry = json.loads(line)
-        except ValueError:
-            report.torn += 1
-            continue
-        if not (isinstance(entry, dict) and isinstance(entry.get("key"), str)):
-            report.torn += 1
-            continue
-        if entry["key"] in seen:
-            report.duplicates += 1
-            continue
-        seen[entry["key"]] = json.dumps(entry, sort_keys=True)
-    report.lines_after = len(seen)
-    torn_tail = bool(text) and not text.endswith("\n")
-    if report.lines_after == report.lines_before and not torn_tail:
-        return report  # already clean: do not churn the inode
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".compact")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            for line in seen.values():
-                fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, str(path))
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    report.compacted = True
-    return report
-
-
 def verify_cells(
     cells: Sequence[object],
     cache_root: Union[str, Path],
@@ -308,95 +243,33 @@ class JobsJournalCompaction:
     lines_before: int = 0
     lines_after: int = 0
     torn: int = 0
-    dropped: int = 0  # transition records whose submit line was lost
+    dropped: int = 0  # lines for a job whose submit was lost or invalid
     compacted: bool = False  # False: journal missing or already one-line-per-job
-
-
-def _jobs_journal_files(path: Path) -> Tuple[List[Path], Path]:
-    """Rotated segments (in rotation order) plus the active file."""
-    found = []
-    for candidate in path.parent.glob(path.name + ".*"):
-        suffix = candidate.name[len(path.name) + 1:]
-        if suffix.isdigit():
-            found.append((int(suffix), candidate))
-    return [p for _, p in sorted(found)], path
-
-
-def _fold_jobs_journal(path: Path):
-    """Replay the job journal the way the queue does — last state wins —
-    without importing :mod:`repro.service` (service imports resilience).
-
-    Returns ``(jobs, keys, order, lines, torn)`` where ``jobs`` maps job
-    id to its folded record, ``keys`` maps idempotency key to job id,
-    and ``order`` lists ids in first-seen (submission) order.
-    """
-    segments, active = _jobs_journal_files(path)
-    jobs: Dict[str, dict] = {}
-    keys: Dict[str, str] = {}
-    order: List[str] = []
-    lines = torn = 0
-    for source in segments + [active]:
-        try:
-            text = source.read_text()
-        except OSError:
-            continue
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            lines += 1
-            try:
-                record = json.loads(line)
-            except ValueError:
-                torn += 1
-                continue
-            if not isinstance(record, dict) or not isinstance(record.get("id"), str):
-                torn += 1
-                continue
-            job_id = record["id"]
-            job = jobs.get(job_id)
-            if job is None:
-                job = {"id": job_id, "requeues": 0}
-                jobs[job_id] = job
-                order.append(job_id)
-            if isinstance(record.get("spec"), dict):
-                job["spec"] = record["spec"]
-            if isinstance(record.get("seq"), int):
-                job["seq"] = record["seq"]
-            if isinstance(record.get("state"), str):
-                job["state"] = record["state"]
-            if record.get("requeued"):
-                job["requeues"] += 1
-            if isinstance(record.get("requeues"), int) and not isinstance(
-                record.get("requeues"), bool
-            ):
-                job["requeues"] = record["requeues"]
-            if isinstance(record.get("idempotency_key"), str):
-                job["idempotency_key"] = record["idempotency_key"]
-                keys[record["idempotency_key"]] = job_id
-            for name in ("error", "cells", "holes", "stats", "result", "failure"):
-                if name in record:
-                    job[name] = record[name]
-    return jobs, keys, order, lines, torn
 
 
 def scan_jobs_journal(path: Union[str, Path]) -> JobsJournalScan:
     """Read-only triage of a (stopped) service's job journal: every
-    rotation segment is folded, so the report covers the full history."""
+    rotation segment is folded, so the report covers the full history —
+    exactly the jobs and states :class:`~repro.service.jobqueue.JobQueue`
+    would replay, before it requeues the orphans."""
+    from repro.service.jobqueue import fold_journal
+
     path = Path(path)
-    segments, _ = _jobs_journal_files(path)
-    jobs, _, order, lines, torn = _fold_jobs_journal(path)
+    fold = fold_journal(path)
     scan = JobsJournalScan(
-        path=path, segments=len(segments), lines=lines, torn=torn, jobs=len(jobs)
+        path=path,
+        segments=len(fold.segments),
+        lines=fold.lines,
+        torn=fold.torn,
+        jobs=len(fold.jobs),
     )
-    for job_id in order:
-        job = jobs[job_id]
-        state = job.get("state", "QUEUED")
-        scan.by_state[state] = scan.by_state.get(state, 0) + 1
-        scan.requeues += job.get("requeues", 0)
-        if state == "RUNNING":
-            scan.orphaned.append(job_id)
-        elif state == "DEAD_LETTER":
-            scan.dead_letters.append((job_id, job.get("error") or ""))
+    for job in fold.jobs.values():
+        scan.by_state[job.state] = scan.by_state.get(job.state, 0) + 1
+        scan.requeues += job.requeues
+        if job.state == "RUNNING":
+            scan.orphaned.append(job.id)
+        elif job.state == "DEAD_LETTER":
+            scan.dead_letters.append((job.id, job.error or ""))
     return scan
 
 
@@ -413,24 +286,39 @@ def compact_jobs_journal(path: Union[str, Path]) -> JobsJournalCompaction:
     mid-compaction leaves a journal whose replay still converges to the
     same state (the snapshot lines win over older segment lines).
     """
+    from repro.service.jobqueue import fold_journal
+
     path = Path(path)
     if not path.exists():
         return JobsJournalCompaction()
-    segments, _ = _jobs_journal_files(path)
-    jobs, _, order, lines, torn = _fold_jobs_journal(path)
+    fold = fold_journal(path)
     result = JobsJournalCompaction(
-        segments_before=len(segments), lines_before=lines, torn=torn
+        segments_before=len(fold.segments),
+        lines_before=fold.lines,
+        torn=fold.torn,
+        dropped=fold.dropped,
     )
+    keys = {job_id: key for key, job_id in fold.idempotency.items()}
     snapshots = []
-    for job_id in order:
-        job = jobs[job_id]
-        if "spec" not in job:
-            result.dropped += 1  # transition lines for a lost submit
-            continue
-        job.setdefault("state", "QUEUED")
-        snapshots.append(json.dumps(job, sort_keys=True))
+    for job in fold.jobs.values():
+        snapshot = {
+            "id": job.id,
+            "seq": job.seq,
+            "spec": job.spec.to_payload(),
+            "state": job.state,
+            "requeues": job.requeues,
+            "error": job.error,
+            "cells": job.cells,
+            "holes": job.holes,
+            "stats": job.stats,
+            "result": job.result,
+            "failure": job.failure,
+        }
+        if job.id in keys:
+            snapshot["idempotency_key"] = keys[job.id]
+        snapshots.append(json.dumps(snapshot, sort_keys=True))
     result.lines_after = len(snapshots)
-    if not segments and torn == 0 and lines == len(snapshots):
+    if not fold.segments and fold.torn == 0 and fold.lines == len(snapshots):
         return result  # already one clean line per job
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
@@ -446,7 +334,7 @@ def compact_jobs_journal(path: Union[str, Path]) -> JobsJournalCompaction:
         except OSError:
             pass
         return result
-    for segment in segments:
+    for segment in fold.segments:
         try:
             segment.unlink()
         except OSError:

@@ -1,6 +1,6 @@
 """Run supervision: deadline budgets, circuit breakers, graceful shutdown.
 
-The resilience layer (retries, checkpoints, chaos) makes a sweep
+The resilience layer (retries, chaos) and the result cache make a sweep
 *restartable*; this module makes it *survivable*.  A production-scale
 run — the paper's 5-collector × 22-workload × 6-heap-factor matrix — has
 three failure modes the retry policy alone cannot answer:
@@ -11,7 +11,7 @@ three failure modes the retry policy alone cannot answer:
   fits an EWMA cost model (:class:`CostModel`, keyed by
   ``workload × collector``) to completed cells and refuses to start a
   cell that cannot finish before the deadline — the cell becomes a typed
-  ``Hole(reason="budget")`` a later ``--resume`` run can fill, instead
+  ``Hole(reason="budget")`` a later run on the same cache fills, instead
   of half-run work the limit would destroy;
 - **permanently broken families**: a JVM build that segfaults on one
   workload fails every invocation of every heap size, and burning the
@@ -21,12 +21,11 @@ three failure modes the retry policy alone cannot answer:
   remaining cells in O(1) (``Hole(reason="breaker")``, zero attempts,
   zero backoff), and *half-open probes* let a recovered family close the
   breaker again;
-- **interruption**: the first SIGINT/SIGTERM must not tear the journal
-  mid-append.  :meth:`Supervisor.install` converts the first signal into
-  a *drain* — in-flight cells finish, everything completed is journalled
-  (fsync'd) and cached, pending cells become ``Hole(reason="drained")``,
-  and a one-line resume hint is printed — while a second signal
-  hard-aborts for the impatient.
+- **interruption**: the first SIGINT/SIGTERM must not abandon cells
+  half way.  :meth:`Supervisor.install` converts the first signal into a
+  *drain* — in-flight cells finish, everything completed is cached,
+  pending cells become ``Hole(reason="drained")``, and a one-line resume
+  hint is printed — while a second signal hard-aborts for the impatient.
 
 The supervision contract mirrors the recorder's and the injector's:
 supervision decides *whether* a cell runs, never *how* — a cell that
@@ -384,7 +383,7 @@ class Supervisor:
 
     def request_drain(self, reason: str = "drain request") -> None:
         """Stop admitting new cells; in-flight cells finish and are
-        journalled.  Idempotent — also what the first SIGINT/SIGTERM
+        cached.  Idempotent — also what the first SIGINT/SIGTERM
         calls."""
         with self._lock:
             if self.draining:
@@ -396,7 +395,7 @@ class Supervisor:
     def drain_finished(self, drained: int) -> None:
         """Called by the engine after a drained batch has flushed: print
         the one-line resume hint."""
-        hint = self.resume_hint or "re-run with --cache-dir/--resume to continue"
+        hint = self.resume_hint or "re-run with the same --cache-dir to continue"
         print(
             f"chopin: drained cleanly ({drained} pending cell"
             f"{'s' if drained != 1 else ''} left for later); {hint}",

@@ -23,9 +23,8 @@ Four modules, one per concern:
 - :mod:`.jobqueue` — :class:`JobQueue`: a priority-FIFO async job queue
   with a per-job state machine (``QUEUED → RUNNING → DONE / FAILED /
   CANCELLED / PARTIAL``) persisted as an append-only JSONL journal
-  (the :class:`~repro.resilience.CheckpointJournal` idiom: line-atomic
-  fsync'd appends, torn-tail tolerant) so a restarted service resumes
-  its queue;
+  (line-atomic fsync'd appends, torn-tail tolerant replay) so a
+  restarted service resumes its queue;
 - :mod:`.server` — :class:`SweepService`: the daemon.  An HTTP/JSON API
   on stdlib :class:`~http.server.ThreadingHTTPServer` (submit / status
   / result / cancel / health / metrics — no new dependencies) in front

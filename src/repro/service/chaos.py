@@ -132,7 +132,6 @@ def service_chaos_drill(
         max_requeues=3,
         queue_high_water=0,
         chaos_rate=0.0,
-        resume=None,
         budget_s=None,
         breaker_threshold=None,
         cache_dir=None,

@@ -29,16 +29,16 @@ fences stale workers: a worker that hung past its lease and then woke up
 again cannot :meth:`finish` or :meth:`heartbeat` the job it lost — the
 queue discards the attempt and counts it in :attr:`lease_losses`.
 
-Every transition is persisted as one JSON line in an append-only journal
-reusing the :class:`~repro.resilience.CheckpointJournal` idiom: appends
-are line-atomic and ``fsync``'d before the transition returns, and the
-reader tolerates a torn final line (the worst a crash can cost is one
-transition record, and an un-journalled ``RUNNING`` just replays as a
-re-queued ``QUEUED`` job).  When the active journal file exceeds
-``rotate_bytes`` it is atomically renamed to ``jobs.jsonl.<n>`` and a
-fresh active file started; replay folds every segment in rotation order
-before the active file, so rotation never loses a transition.  On
-construction the queue replays the journal: the latest state per job
+Every transition is persisted as one JSON line in an append-only
+journal: appends are line-atomic and ``fsync``'d before the transition
+returns, and the reader tolerates a torn final line (the worst a crash
+can cost is one transition record, and an un-journalled ``RUNNING`` just
+replays as a re-queued ``QUEUED`` job).  When the active journal file
+exceeds ``rotate_bytes`` it is atomically renamed to ``jobs.jsonl.<n>``
+and a fresh active file started; replay folds every segment in rotation
+order before the active file, so rotation never loses a transition.  On
+construction the queue replays the journal through :func:`fold_journal`
+— the same fold ``chopin doctor`` reports from: the latest state per job
 wins, non-terminal jobs go back on the heap, terminal jobs are retained
 with their persisted result payloads so a restarted service still
 answers ``GET /jobs/<id>/result``.
@@ -262,6 +262,90 @@ class Job:
         }
 
 
+def journal_segments(path: Path) -> List[Path]:
+    """Rotated segments of the journal at ``path``, in rotation (=
+    chronological) order."""
+    found = []
+    for candidate in path.parent.glob(path.name + ".*"):
+        suffix = candidate.name[len(path.name) + 1:]
+        if suffix.isdigit():
+            found.append((int(suffix), candidate))
+    return [segment for _, segment in sorted(found)]
+
+
+@dataclass
+class JournalFold:
+    """A job journal replayed across every rotation segment, last state
+    winning — before any restart policy (requeue or dead-letter of
+    ``RUNNING`` jobs) is applied."""
+
+    jobs: Dict[str, Job] = field(default_factory=dict)  # submission order
+    idempotency: Dict[str, str] = field(default_factory=dict)  # key -> job id
+    segments: List[Path] = field(default_factory=list)
+    seq: int = 0  # highest job sequence number seen
+    lines: int = 0  # non-blank lines read
+    torn: int = 0  # unparseable lines, or lines without a job id
+    dropped: int = 0  # lines for a job whose submit was lost or invalid
+    torn_tail: bool = False  # the active file ends mid-line
+
+
+def fold_journal(path: Path) -> JournalFold:
+    """Fold the journal at ``path`` (segments, then the active file) into
+    the latest state per job.  Torn, foreign, and orphaned lines are
+    counted, never raised."""
+    fold = JournalFold(segments=journal_segments(path))
+    for source in fold.segments + [path]:
+        try:
+            text = source.read_text()
+        except OSError:
+            continue
+        fold.torn_tail = source == path and bool(text) and not text.endswith("\n")
+        for line in text.splitlines():
+            if line.strip():
+                fold.lines += 1
+                _fold_line(fold, line)
+    return fold
+
+
+def _fold_line(fold: JournalFold, line: str) -> None:
+    try:
+        record = json.loads(line)
+    except ValueError:
+        fold.torn += 1  # torn line from an interrupted writer
+        return
+    job_id = record.get("id") if isinstance(record, dict) else None
+    if not isinstance(job_id, str):
+        fold.torn += 1
+        return
+    job = fold.jobs.get(job_id)
+    if job is None:
+        try:
+            spec = JobSpec.from_payload(record.get("spec"))
+        except ValueError:
+            # A transition for a job whose submit line was lost, or a
+            # foreign or corrupt submit line.
+            fold.dropped += 1
+            return
+        seq = record.get("seq")
+        seq = seq if isinstance(seq, int) else fold.seq + 1
+        job = fold.jobs[job_id] = Job(id=job_id, spec=spec, seq=seq)
+        fold.seq = max(fold.seq, seq)
+    state = record.get("state")
+    if isinstance(state, str) and state in JOB_STATES:
+        job.state = state
+    if record.get("requeued"):
+        job.requeues += 1
+    requeues = record.get("requeues")
+    if isinstance(requeues, int) and not isinstance(requeues, bool):
+        job.requeues = requeues  # compacted snapshot carries the count
+    key = record.get("idempotency_key")
+    if isinstance(key, str) and key:
+        fold.idempotency[key] = job_id
+    for field_name in ("error", "cells", "holes", "stats", "result", "failure"):
+        if field_name in record:
+            setattr(job, field_name, record[field_name])
+
+
 class JobQueue:
     """Priority-FIFO queue of :class:`Job` with a journaled state machine.
 
@@ -313,19 +397,12 @@ class JobQueue:
             self._replay()
 
     # ------------------------------------------------------------------
-    # Journal (the CheckpointJournal idiom: fsync'd line-atomic appends,
-    # torn-tail tolerant replay, size-bounded rotation)
+    # Journal (fsync'd line-atomic appends, torn-tail tolerant replay,
+    # size-bounded rotation)
 
     def _segments(self) -> List[Path]:
         """Rotated journal segments in rotation (= chronological) order."""
-        if self.path is None:
-            return []
-        found = []
-        for candidate in self.path.parent.glob(self.path.name + ".*"):
-            suffix = candidate.name[len(self.path.name) + 1:]
-            if suffix.isdigit():
-                found.append((int(suffix), candidate))
-        return [path for _, path in sorted(found)]
+        return journal_segments(self.path) if self.path is not None else []
 
     def _append(self, record: dict) -> None:
         if self.path is None:
@@ -377,23 +454,11 @@ class JobQueue:
             self._segment -= 1
 
     def _replay(self) -> None:
-        segments = self._segments()
-        if segments:
-            self._segment = int(segments[-1].name.rsplit(".", 1)[1])
-        for source in segments:
-            try:
-                text = source.read_text()
-            except OSError:
-                continue
-            for line in text.splitlines():
-                self._replay_line(line)
-        try:
-            text = self.path.read_text()
-        except OSError:
-            text = ""
-        self._torn_tail = bool(text) and not text.endswith("\n")
-        for line in text.splitlines():
-            self._replay_line(line)
+        fold = fold_journal(self.path)
+        self._jobs, self._idempotency, self._seq = fold.jobs, fold.idempotency, fold.seq
+        self._torn_tail = fold.torn_tail
+        if fold.segments:
+            self._segment = int(fold.segments[-1].name.rsplit(".", 1)[1])
         # Jobs the dead process was running resume as QUEUED — their
         # completed cells are in the shared cache, so the re-run is warm —
         # unless they already burned their requeue budget, in which case
@@ -414,48 +479,6 @@ class JobQueue:
                 self._append({"id": job.id, "state": "QUEUED", "requeued": True})
             if job.state == "QUEUED":
                 heapq.heappush(self._heap, (-job.spec.priority, job.seq, job.id))
-
-    def _replay_line(self, line: str) -> None:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return  # torn line from an interrupted writer
-        if isinstance(record, dict):
-            self._apply(record)
-
-    def _apply(self, record: dict) -> None:
-        """Fold one journal line into the replayed state (last wins)."""
-        job_id = record.get("id")
-        if not isinstance(job_id, str):
-            return
-        job = self._jobs.get(job_id)
-        if job is None:
-            spec_payload = record.get("spec")
-            if not isinstance(spec_payload, dict):
-                return  # transition for a job whose submit line was lost
-            try:
-                spec = JobSpec.from_payload(spec_payload)
-            except ValueError:
-                return  # foreign or corrupt submit line
-            seq = record.get("seq")
-            seq = seq if isinstance(seq, int) else self._seq + 1
-            job = Job(id=job_id, spec=spec, seq=seq)
-            self._jobs[job_id] = job
-            self._seq = max(self._seq, seq)
-        state = record.get("state")
-        if isinstance(state, str) and state in JOB_STATES:
-            job.state = state
-        if record.get("requeued"):
-            job.requeues += 1
-        requeues = record.get("requeues")
-        if isinstance(requeues, int) and not isinstance(requeues, bool):
-            job.requeues = requeues  # compacted snapshot carries the count
-        key = record.get("idempotency_key")
-        if isinstance(key, str) and key:
-            self._idempotency[key] = job_id
-        for field_name in ("error", "cells", "holes", "stats", "result", "failure"):
-            if field_name in record:
-                setattr(job, field_name, record[field_name])
 
     # ------------------------------------------------------------------
     # Producer side

@@ -511,14 +511,14 @@ class SweepService:
     def make_worker(self) -> ServiceWorker:
         """A worker with its own engine sharing this service's cache.
 
-        The engine starts unsupervised — resume journals and the
-        config-level budget/breaker belong to one-shot sweeps; here every
+        The engine starts unsupervised — the config-level
+        budget/breaker belong to one-shot sweeps; here every
         job attaches its own :class:`~repro.resilience.Supervisor` in
         :meth:`ServiceWorker.execute` (with the config values as per-job
         defaults), which is what makes admission control per-tenant.
         """
         engine = engine_from_config(
-            replace(self.config, resume=None, budget_s=None, breaker_threshold=None),
+            replace(self.config, budget_s=None, breaker_threshold=None),
             cache=self.cache,
         )
         return ServiceWorker(self, engine)

@@ -23,8 +23,8 @@ gaps show up:
   buffer batches puts and flushes them with the same atomic
   temp-file + ``os.replace`` protocol, so a burst of tiny results does
   not serialize on fsync-ish IO.  ``flush()`` drains the buffer; the
-  service flushes at job boundaries, and because the checkpoint journal
-  is advisory, a crash between put and flush degrades to re-executing
+  service flushes at job boundaries, and because a missing entry is
+  just a miss, a crash between put and flush degrades to re-executing
   those cells — never to a wrong answer.
 
 Migration is read-through: a key absent from this cache's shard layout

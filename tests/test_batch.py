@@ -11,9 +11,9 @@ The batch kernel (:mod:`repro.jvm.batch`) promises three things:
    warm-cache zero-simulation guarantee are unchanged with ``batch=True``,
    so warm caches survive toggling the kernel on or off.
 3. *Deference*: resilience and supervision win.  A resilient engine
-   (retries, chaos, checkpoints, or a supervisor) routes through the
-   scalar path, so hole and admission behavior is identical whatever
-   the batch flag says.
+   (retries, chaos, or a supervisor) routes through the scalar path, so
+   hole and admission behavior is identical whatever the batch flag
+   says.
 """
 
 from __future__ import annotations

@@ -104,11 +104,10 @@ class TestArgumentValidation:
     def test_valid_resilience_flags_accepted(self):
         args = build_parser().parse_args(
             ["lbo", "fop", "--retries", "3", "--cell-timeout", "30",
-             "--chaos-rate", "0.3", "--chaos-seed", "7", "--resume", "j.jsonl"]
+             "--chaos-rate", "0.3", "--chaos-seed", "7"]
         )
         assert args.retries == 3 and args.cell_timeout == 30.0
         assert args.chaos_rate == 0.3 and args.chaos_seed == 7
-        assert args.resume == "j.jsonl"
 
 
 class TestChaosCommand:
@@ -176,17 +175,30 @@ class TestInsightsCommand:
 
 class TestSupervisedLbo:
     def test_tiny_budget_exits_cleanly_with_holes(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache")
         argv = ["lbo", "lusearch", "--budget", "0.000001",
-                "--cache-dir", str(tmp_path / "cache"),
-                "--resume", str(tmp_path / "journal.jsonl"),
+                "--cache-dir", cache,
                 "--invocations", "1", "--scale", "0.05"]
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "supervision:" in err and "over budget" in err
+        # The hint names the cache that resumes the sweep, and nothing else.
+        assert f"re-run the same command with --cache-dir {cache}" in err
+        assert "resume" not in err  # the cache is the only resume mechanism
+
+    def test_tiny_budget_without_cache_hints_at_cache_dir(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("CHOPIN_CACHE_DIR", raising=False)
+        argv = ["lbo", "lusearch", "--budget", "0.000001",
+                "--invocations", "1", "--scale", "0.05"]
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "re-run with --cache-dir to make the holes fillable" in err
+        assert "resume" not in err  # the cache is the only resume mechanism
 
     def test_budget_then_resume_completes(self, capsys, tmp_path):
         cache = ["--cache-dir", str(tmp_path / "cache"),
-                 "--resume", str(tmp_path / "journal.jsonl"),
                  "--invocations", "1", "--scale", "0.05"]
         assert main(["lbo", "lusearch", "--budget", "0.000001"] + cache) == 0
         capsys.readouterr()
@@ -207,15 +219,13 @@ class TestSupervisedLbo:
 class TestDoctorCommand:
     def test_doctor_heals_torn_cache(self, capsys, tmp_path):
         cache = str(tmp_path / "cache")
-        journal = str(tmp_path / "journal.jsonl")
         base = ["--invocations", "1", "--scale", "0.05"]
-        assert main(["lbo", "lusearch", "--cache-dir", cache,
-                     "--resume", journal] + base) == 0
+        assert main(["lbo", "lusearch", "--cache-dir", cache] + base) == 0
         capsys.readouterr()
         # Tear one entry the way a crashed writer would.
         victim = next((tmp_path / "cache").glob("??/*.pkl"))
         victim.write_bytes(victim.read_bytes()[: 40])
-        assert main(["doctor", "--cache-dir", cache, "--journal", journal]) == 0
+        assert main(["doctor", "--cache-dir", cache]) == 0
         captured = capsys.readouterr()
         assert "1 corrupt" in captured.out
         assert "quarantined 1" in captured.out

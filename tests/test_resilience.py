@@ -1,4 +1,4 @@
-"""The resilience layer: fault injection, retries, checkpoint/resume.
+"""The resilience layer: fault injection, retries, resume from the cache.
 
 The contract under test (see ``repro.resilience``): chaos is
 deterministic — a pure function of ``(seed, cell_key, attempt)`` — and
@@ -32,7 +32,6 @@ from repro.observability import (
 from repro.resilience import (
     CellExecutionError,
     CellTimeout,
-    CheckpointJournal,
     FaultInjector,
     FaultSpec,
     InjectedFault,
@@ -167,13 +166,12 @@ class TestEngineOffByDefault:
         assert engine.resilient is False
         assert type(engine.injector) is NullInjector
         assert not engine.retry.active
-        assert engine.checkpoint is None
 
     def test_stats_grow_new_counters(self):
-        stats = EngineStats(retries=2, timeouts=1, gave_up=1, corrupt=3, resumed=4)
+        stats = EngineStats(retries=2, timeouts=1, gave_up=1, corrupt=3)
         delta = stats.minus(EngineStats(retries=1, corrupt=1))
         assert (delta.retries, delta.timeouts, delta.gave_up) == (1, 1, 1)
-        assert (delta.corrupt, delta.resumed) == (2, 4)
+        assert delta.corrupt == 2
 
 
 def raising_seed(cells, rate=0.5):
@@ -398,34 +396,6 @@ class TestGracefulDegradation:
         assert len(failed) == len(cells)
 
 
-class TestCheckpointJournal:
-    def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        assert len(journal) == 0
-        journal.record("a" * 64)
-        journal.record("b" * 64, oom=True)
-        journal.record("a" * 64)  # idempotent
-        assert len(journal) == 2 and "a" * 64 in journal
-
-        reloaded = CheckpointJournal(path)
-        assert reloaded.completed() == {"a" * 64, "b" * 64}
-
-    def test_torn_line_tolerated(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("a" * 64)
-        with path.open("a") as fh:
-            fh.write('{"key": "tor')  # power loss mid-append
-        reloaded = CheckpointJournal(path)
-        assert reloaded.completed() == {"a" * 64}
-        reloaded.record("c" * 64)  # journal still usable
-        assert len(CheckpointJournal(path)) == 2
-
-    def test_missing_file_is_cold_start(self, tmp_path):
-        assert CheckpointJournal(tmp_path / "nope.jsonl").completed() == set()
-
-
 class TestResume:
     class InterruptAfter(ProgressSink):
         """Simulates ctrl-C mid-sweep: raise after the Nth finished cell."""
@@ -445,16 +415,14 @@ class TestResume:
         cells = [make_cell(lusearch, invocation=i, config=fast_config) for i in range(6)]
         clean = ExecutionEngine().run_cells(cells)
         cache = tmp_path / "cache"
-        journal = tmp_path / "journal.jsonl"
 
-        first = ExecutionEngine(
-            cache_dir=cache, checkpoint=journal, progress=self.InterruptAfter(3)
-        )
+        first = ExecutionEngine(cache_dir=cache, progress=self.InterruptAfter(3))
         with pytest.raises(KeyboardInterrupt):
             first.run_cells(cells)
-        # The sink raises from inside the 3rd cell's bookkeeping, before
-        # its journal append — so 3 cells are cached but only 2 journalled.
-        assert len(CheckpointJournal(journal)) == 2
+        # The sink raises from inside the 3rd cell's bookkeeping, after
+        # its cache write — so 3 entries are in the cache.
+        entries = ResultCache(cache)
+        assert sum(entries.get(cell_key(c)) is not None for c in cells) == 3
 
         real = engine_mod.simulate_run
         calls = []
@@ -464,16 +432,15 @@ class TestResume:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine_mod, "simulate_run", counting)
-        resumed = ExecutionEngine(cache_dir=cache, checkpoint=journal)
+        resumed = ExecutionEngine(cache_dir=cache)
         results = resumed.run_cells(cells)
         assert len(calls) == 3  # only the missing cells re-execute
         assert resumed.stats.cached == 3 and resumed.stats.executed == 3
-        assert resumed.stats.resumed == 2  # journal-confirmed hits
         assert [payload(r) for r in results] == [payload(r) for r in clean]
-        # The journal now covers the whole sweep; a second resume is all hits.
-        again = ExecutionEngine(cache_dir=cache, checkpoint=journal)
+        # The cache now covers the whole sweep; a second resume is all hits.
+        again = ExecutionEngine(cache_dir=cache)
         again.run_cells(cells)
-        assert again.stats.executed == 0 and again.stats.resumed == 6
+        assert again.stats.executed == 0 and again.stats.cached == 6
 
 
 class TestCorruption:
@@ -571,21 +538,18 @@ class TestEngineFromEnv:
         assert "CHOPIN_CHAOS_RATE" in message and "1.5" in message
         assert "CHOPIN_CHAOS_RATE=0.1" in message  # the accepted format
 
-    def test_resilience_vars_build_collaborators(self, tmp_path):
-        journal = tmp_path / "j.jsonl"
+    def test_resilience_vars_build_collaborators(self):
         engine = engine_from_env(
             {
                 "CHOPIN_RETRIES": "2",
                 "CHOPIN_CELL_TIMEOUT": "30",
                 "CHOPIN_CHAOS_RATE": "0.2",
                 "CHOPIN_CHAOS_SEED": "9",
-                "CHOPIN_RESUME": str(journal),
             }
         )
         assert engine.resilient
         assert engine.retry.retries == 2 and engine.retry.cell_timeout_s == 30.0
         assert engine.injector.enabled and engine.injector.spec.seed == 9
-        assert isinstance(engine.checkpoint, CheckpointJournal)
 
     def test_defaults_stay_plain(self):
         engine = engine_from_env({})

@@ -20,6 +20,7 @@ The contracts under test (see ``repro.service`` and ISSUE PR 10):
 - the five-scenario service chaos drill passes deterministically.
 """
 
+import json
 import socket
 import threading
 import time
@@ -682,6 +683,42 @@ class TestDoctorJobsJournal:
         assert "compacted" in out.out
         assert "orphaned RUNNING job" in out.err
         assert "dead-lettered" in out.err
+
+    def _foreign_lines_history(self, tmp_path):
+        """One real job, plus a transition whose submit was lost, a
+        submit whose spec is invalid, and a foreign state on the real
+        job."""
+        path = tmp_path / "jobs.jsonl"
+        job = JobQueue(path).submit(_spec())
+        with path.open("a") as fh:
+            for record in (
+                {"id": "lost", "state": "DONE"},
+                {"id": "job-999999", "seq": 999999, "state": "QUEUED",
+                 "spec": {"benchmark": ""}},
+                {"id": job.id, "state": "BOGUS"},
+            ):
+                fh.write(json.dumps(record) + "\n")
+        return path, job
+
+    def test_scan_agrees_with_queue_replay(self, tmp_path):
+        path, job = self._foreign_lines_history(tmp_path)
+        scan = scan_jobs_journal(path)
+        replayed = JobQueue(path).jobs()
+        by_state = {}
+        for replayed_job in replayed:
+            by_state[replayed_job.state] = by_state.get(replayed_job.state, 0) + 1
+        assert scan.jobs == len(replayed) == 1
+        assert scan.by_state == by_state == {"QUEUED": 1}
+        assert [j.id for j in replayed] == [job.id]
+
+    def test_compact_drops_lines_without_a_valid_submit(self, tmp_path):
+        path, job = self._foreign_lines_history(tmp_path)
+        result = compact_jobs_journal(path)
+        assert result.compacted
+        assert (result.lines_before, result.lines_after) == (4, 1)
+        assert result.dropped == 2 and result.torn == 0
+        replayed = JobQueue(path).jobs()
+        assert [(j.id, j.state) for j in replayed] == [(job.id, "QUEUED")]
 
     def test_scan_missing_journal_is_empty(self, tmp_path):
         scan = scan_jobs_journal(tmp_path / "absent.jsonl")

@@ -42,14 +42,12 @@ from repro.resilience import (
     SUPERVISED_REASONS,
     CellExecutionError,
     CellTimeout,
-    CheckpointJournal,
     CircuitBreaker,
     CostModel,
     FaultInjector,
     FaultSpec,
     RetryPolicy,
     Supervisor,
-    compact_journal,
     scan_cache,
     verify_cells,
 )
@@ -366,17 +364,17 @@ class TestBudgetHoles:
     def test_budget_refusals_do_not_touch_cache_or_journal(
         self, cells, tmp_path
     ):
-        journal = tmp_path / "journal.jsonl"
         engine = ExecutionEngine(
             cache_dir=tmp_path / "cache",
-            checkpoint=journal,
             supervisor=frozen_supervisor(budget_s=1e-9),
         )
         engine.run_cells(cells, partial=True)
-        assert len(CheckpointJournal(journal)) == 1  # only the executed cell
+        entries = ResultCache(tmp_path / "cache")
+        # Only the executed cell is in the cache.
+        assert sum(entries.get(cell_key(c)) is not None for c in cells) == 1
         # A resume run with no budget executes exactly the missing cells.
         clean = ExecutionEngine().run_cells(cells)
-        resumed = ExecutionEngine(cache_dir=tmp_path / "cache", checkpoint=journal)
+        resumed = ExecutionEngine(cache_dir=tmp_path / "cache")
         results = resumed.run_cells(cells)
         assert resumed.stats.executed == 3 and resumed.stats.cached == 1
         assert [payload(r) for r in results] == [payload(r) for r in clean]
@@ -490,12 +488,10 @@ class TestGracefulDrain:
         cells = [make_cell(lusearch, invocation=i, config=fast_config) for i in range(6)]
         clean = ExecutionEngine().run_cells(cells)
         cache = tmp_path / "cache"
-        journal = tmp_path / "journal.jsonl"
         stream = io.StringIO()
         sup = Supervisor(stream=stream, resume_hint="re-run to continue")
         engine = ExecutionEngine(
             cache_dir=cache,
-            checkpoint=journal,
             progress=DrainAfter(sup, 2),
             supervisor=sup,
         )
@@ -503,8 +499,9 @@ class TestGracefulDrain:
         # Two cells finished before the "signal"; the rest drained.
         assert engine.stats.executed == 2 and engine.stats.drained == 4
         assert [h.reason for h in batch.holes] == ["drained"] * 4
-        # Everything completed is durable: journalled and cached.
-        assert len(CheckpointJournal(journal)) == 2
+        # Everything completed is durable: 2 entries in the cache.
+        entries = ResultCache(cache)
+        assert sum(entries.get(cell_key(c)) is not None for c in cells) == 2
         assert "drained cleanly" in stream.getvalue()
         assert "re-run to continue" in stream.getvalue()
 
@@ -516,10 +513,10 @@ class TestGracefulDrain:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(engine_mod, "simulate_run", counting)
-        resumed = ExecutionEngine(cache_dir=cache, checkpoint=journal)
+        resumed = ExecutionEngine(cache_dir=cache)
         results = resumed.run_cells(cells)
         assert len(calls) == 4  # only the drained cells re-execute
-        assert resumed.stats.cached == 2 and resumed.stats.resumed == 2
+        assert resumed.stats.cached == 2 and resumed.stats.executed == 4
         assert [payload(r) for r in results] == [payload(r) for r in clean]
 
     def test_drain_refuses_pool_cells_promptly(self, lusearch, fast_config):
@@ -713,19 +710,6 @@ class TestSupervisionObservability:
         assert "supervisor skipped 3 over budget" in text
 
 
-class TestJournalDurability:
-    def test_record_fsyncs_every_append(self, tmp_path, monkeypatch):
-        import os as os_mod
-
-        synced = []
-        real = os_mod.fsync
-        monkeypatch.setattr(os_mod, "fsync", lambda fd: synced.append(fd) or real(fd))
-        journal = CheckpointJournal(tmp_path / "journal.jsonl")
-        journal.record("a" * 64)
-        journal.record("b" * 64)
-        assert len(synced) == 2
-
-
 class TestTimeoutThreads:
     def test_attempt_threads_are_named_for_their_cell(self):
         names = []
@@ -855,40 +839,6 @@ class TestDoctorScan:
     def test_missing_root_is_empty_scan(self, tmp_path):
         scan = scan_cache(tmp_path / "nope")
         assert scan.scanned == 0
-
-
-class TestDoctorJournal:
-    def test_compacts_torn_and_duplicate_lines(self, tmp_path):
-        import json
-
-        path = tmp_path / "journal.jsonl"
-        journal = CheckpointJournal(path)
-        journal.record("a" * 64)
-        journal.record("b" * 64)
-        with path.open("a") as fh:
-            # A duplicate append (two racing writers) and a torn tail
-            # (a writer killed mid-append) — record() itself never
-            # produces either, which is exactly why the doctor exists.
-            fh.write(json.dumps({"key": "a" * 64, "oom": False}) + "\n")
-            fh.write('{"key": "c')
-        report = compact_journal(path)
-        assert report.compacted
-        assert (report.lines_before, report.lines_after) == (4, 2)
-        assert (report.torn, report.duplicates) == (1, 1)
-        # The compacted journal still resumes the same cells.
-        assert CheckpointJournal(path).completed() == {"a" * 64, "b" * 64}
-
-    def test_clean_journal_left_untouched(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        CheckpointJournal(path).record("a" * 64)
-        before = path.stat().st_mtime_ns
-        report = compact_journal(path)
-        assert not report.compacted
-        assert path.stat().st_mtime_ns == before
-
-    def test_missing_journal_is_a_noop(self, tmp_path):
-        report = compact_journal(tmp_path / "nope.jsonl")
-        assert not report.compacted and report.lines_before == 0
 
 
 class TestDoctorVerify:
