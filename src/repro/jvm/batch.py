@@ -37,8 +37,9 @@ jump (the orbit recurrence is exact).  Two sources of inexactness
 remain, both documented and bounded:
 
 - ``needed_speedup ** (1/e)`` in the adaptive concurrent-worker sizing
-  uses numpy's vectorized ``power``, which can differ from Python's
-  scalar ``**`` by 1 ulp (SIMD pow); and
+  (the scalar side is ``ConcurrentCollector._size_cycle``) uses numpy's
+  vectorized ``power``, which can differ from Python's scalar ``**`` by
+  1 ulp (SIMD pow); and
 - accumulators advanced by an orbit jump gain ``m * delta`` in one step
   instead of ``m`` successive additions, changing rounding at the
   ~1e-12 relative level.
@@ -303,16 +304,12 @@ class _BatchSim:
         self.mark_rate = tuning.mark_rate_mb_s
         self.copy_rate = tuning.copy_rate_mb_s
         self.conc_rate = tuning.concurrent_rate_mb_s
-        self.eff_e = tuning.efficiency_exponent
         self.hw = batch.machine.hardware_threads
         self.interference_per_thread = batch.machine.concurrent_interference
-        # Python-pow speedup LUT for integer team sizes: parallel_speedup
-        # truncates its argument to int, so a table reproduces it exactly
-        # (np.power on arrays is the one op that can differ by 1 ulp).
-        self.speedup_lut = np.array(
-            [float(max(1, min(i, self.hw))) ** self.eff_e for i in range(self.hw + 1)],
-            dtype=f64,
-        )
+        # The collector's concurrent rate per integer team size, built
+        # with Python's pow (np.power on arrays is the one op that can
+        # differ by 1 ulp).
+        self.rate_lut = np.array(proto._team_rates, dtype=f64)
 
         # --- the state matrix ------------------------------------------
         # Signature rows [0, s0): everything the next step's dynamics
@@ -910,7 +907,12 @@ class _G1Kernel(_Kernel):
 class _ConcurrentKernel(_Kernel):
     """Shared machinery for the fully concurrent collectors: adaptive
     team sizing, trigger projection, and the concurrent phase with
-    dilation, pacing, and allocation stalls."""
+    dilation, pacing, and allocation stalls.
+
+    ``_workers`` and ``_duration`` mirror the scalar sizing helper,
+    ``ConcurrentCollector._size_cycle``, op-for-op; the team bounds are
+    read from the collector's per-run constants.
+    """
 
     def __init__(self, sim: _BatchSim):
         super().__init__(sim)
@@ -920,9 +922,9 @@ class _ConcurrentKernel(_Kernel):
         self.cwf = cls.CYCLE_WORK_FACTOR
         self.ts = cls.TRIGGER_SAFETY
         self.pacing_target = cls.PACING_TARGET
-        self.base_workers = proto.default_concurrent_workers()
-        self.max_workers = proto.max_concurrent_workers()
-        self.inv_e = 1.0 / sim.eff_e
+        self.base_workers = proto._base_workers
+        self.max_workers = proto._max_workers
+        self.inv_e = proto._inv_efficiency
         self.cores_over_quarter = sim.cores / 0.25
         # When the clamp pins the team (Shenandoah on the default
         # machine) the whole sizing pipeline is constant: precompute it
@@ -930,8 +932,7 @@ class _ConcurrentKernel(_Kernel):
         self.pinned = self.base_workers >= self.max_workers
         if self.pinned:
             self.pinned_workers = np.full(sim.n, self.base_workers, dtype=np.float64)
-            iw = min(max(int(self.base_workers), 1), sim.hw)
-            self.pinned_denom = sim.conc_rate * float(sim.speedup_lut[iw])
+            self.pinned_denom = float(sim.rate_lut[min(int(self.base_workers), sim.hw)])
 
     # -- per-collector hooks ---------------------------------------------
     def _cycle_work(self) -> np.ndarray:
@@ -965,8 +966,8 @@ class _ConcurrentKernel(_Kernel):
         if self.pinned:
             return work / self.pinned_denom
         iw = workers.astype(np.int64)
-        np.clip(iw, 1, s.hw, out=iw)
-        return work / (s.conc_rate * s.speedup_lut[iw])
+        np.clip(iw, 0, s.hw, out=iw)
+        return work / s.rate_lut[iw]
 
     def begin_iteration(self, it_mask):
         # The trigger's headroom window only moves with live_fp.

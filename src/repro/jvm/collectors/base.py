@@ -49,12 +49,29 @@ class GcTuning:
     efficiency_exponent: float = 0.85
 
 
+def team_rates(machine: Machine, tuning: GcTuning) -> Tuple[float, ...]:
+    """Concurrent work rate (MB/s) of a team of ``workers`` threads,
+    indexed by ``int(workers)``.
+
+    Entry ``i`` is ``concurrent_rate_mb_s * parallel_speedup(max(i, 1))``.
+    The speedup stops growing at the hardware-thread count, so a larger
+    team reads the last entry.
+    """
+    return tuple(
+        tuning.concurrent_rate_mb_s
+        * machine.parallel_speedup(max(i, 1), tuning.efficiency_exponent)
+        for i in range(machine.hardware_threads + 1)
+    )
+
+
 class PauseSegment:
     """One stop-the-world segment of a cycle.
 
     A plain ``__slots__`` class, not a dataclass: collectors build one to
     three of these per GC cycle, making construction cost part of the
-    simulator's innermost loop.  Treat instances as immutable.
+    simulator's innermost loop.  Treat instances as immutable: a pause
+    that never changes over a run is built once and shared by every
+    plan that uses it.
     """
 
     __slots__ = ("duration_s", "workers", "kind")
@@ -186,6 +203,7 @@ class Collector(ABC):
         # live_footprint_mb runs on every full-GC plan; its first term is
         # a spec constant (only extra_live_mb varies over a run).
         self._live_base_mb = self.spec.live_mb * self.footprint_factor()
+        self._team_rates = team_rates(machine, tuning)
 
     # ------------------------------------------------------------------
     # Footprint
@@ -218,9 +236,6 @@ class Collector(ABC):
         """Worker threads used in stop-the-world pauses."""
         return 1
 
-    def team_speedup(self, workers: int) -> float:
-        return self.machine.parallel_speedup(workers, self.tuning.efficiency_exponent)
-
     def stw_pause_for(self, work_mb: float, rate_mb_s: float, kind: str) -> PauseSegment:
         """Build a pause segment for ``work_mb`` of STW work."""
         duration = self.tuning.pause_floor_s + work_mb / (rate_mb_s * self._stw_speedup)
@@ -249,14 +264,6 @@ class Collector(ABC):
         workloads that leave cores idle (the paper's cassandra analysis).
         """
         return 0.0
-
-    # ------------------------------------------------------------------
-    # Young-generation sizing shared by the generational collectors
-    # ------------------------------------------------------------------
-    def eden_capacity_mb(self, heap: Heap, young_fraction: float) -> float:
-        """Eden capacity given current old occupancy."""
-        headroom = max(heap.usable_mb - heap.live_mb, 0.0)
-        return max(0.5, young_fraction * headroom)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} ({self.YEAR})>"

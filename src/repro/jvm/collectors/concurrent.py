@@ -13,6 +13,8 @@ stall outright.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 from repro.jvm.collectors.base import Collector
 from repro.jvm.heap import Heap
 
@@ -30,6 +32,13 @@ class ConcurrentCollector(Collector):
     #: Fraction of the free space a cycle should leave unconsumed when the
     #: team is sized (headroom against prediction error).
     PACING_TARGET = 0.6
+
+    def __init__(self, spec, machine, tuning, rng):
+        super().__init__(spec, machine, tuning, rng)
+        # Team-sizing inputs that never change over a run.
+        self._base_workers = self.default_concurrent_workers()
+        self._max_workers = self.max_concurrent_workers()
+        self._inv_efficiency = 1.0 / self.tuning.efficiency_exponent
 
     def stw_workers(self) -> int:
         return min(self.machine.cores, 16)
@@ -54,34 +63,40 @@ class ConcurrentCollector(Collector):
             heap.live_mb + self.YOUNG_SCAN_FACTOR * heap.young_mb
         )
 
-    def concurrent_workers(self, heap: Heap) -> float:
-        """Adaptive team size: enough workers that the cycle finishes within
-        the allocation budget, within [default, core count]."""
-        base = self.default_concurrent_workers()
-        alloc_rate = self.spec.alloc_rate_mb_s
-        if alloc_rate <= 0 or heap.free_mb <= 0:
-            return base
-        budget_s = self.PACING_TARGET * heap.free_mb / alloc_rate
-        if budget_s <= 0:
-            return float(self.machine.cores)
-        needed_speedup = self.cycle_work_mb(heap) / (
-            self.tuning.concurrent_rate_mb_s * budget_s
-        )
-        if needed_speedup <= 1.0:
-            needed = 1.0
-        else:
-            needed = needed_speedup ** (1.0 / self.tuning.efficiency_exponent)
-        return float(min(max(base, needed), self.max_concurrent_workers()))
+    def _size_cycle(self, heap: Heap) -> Tuple[float, float, float]:
+        """``(workers, work_mb, duration_s)`` of a cycle started now.
 
-    def cycle_duration_s(self, heap: Heap) -> float:
-        workers = self.concurrent_workers(heap)
-        rate = self.tuning.concurrent_rate_mb_s * self.machine.parallel_speedup(
-            max(int(workers), 1), self.tuning.efficiency_exponent
-        )
-        return self.cycle_work_mb(heap) / rate
+        The trigger, every concurrent plan and :meth:`concurrent_workers`
+        size a cycle here, once per heap state, so the team formula lives
+        in one place.
+        """
+        work = self.cycle_work_mb(heap)
+        workers = self._base_workers
+        alloc_rate = self.spec.alloc_rate_mb_s
+        free = heap.free_mb
+        if alloc_rate > 0 and free > 0:
+            budget_s = self.PACING_TARGET * free / alloc_rate
+            if budget_s <= 0:
+                workers = float(self.machine.cores)
+            else:
+                needed_speedup = work / (self.tuning.concurrent_rate_mb_s * budget_s)
+                if needed_speedup <= 1.0:
+                    needed = 1.0
+                else:
+                    needed = needed_speedup ** self._inv_efficiency
+                workers = float(min(max(workers, needed), self._max_workers))
+        rates = self._team_rates
+        team = int(workers)
+        return workers, work, work / (rates[team] if team < len(rates) else rates[-1])
+
+    def concurrent_workers(self, heap: Heap) -> float:
+        """Adaptive team size: enough workers that a cycle started now
+        finishes within the allocation budget, within [default, maximum]
+        team size."""
+        return self._size_cycle(heap)[0]
 
     def trigger_free_mb(self, heap: Heap) -> float:
-        expected_alloc = self.spec.alloc_rate_mb_s * self.cycle_duration_s(heap)
+        expected_alloc = self.spec.alloc_rate_mb_s * self._size_cycle(heap)[2]
         headroom = max(heap.usable_mb - self.live_footprint_mb(), 0.0)
         trigger = self.TRIGGER_SAFETY * expected_alloc
         # Never wait past 90% of headroom, never trigger below 10% used.

@@ -54,8 +54,9 @@ class G1Collector(Collector):
         return max(1.0, self.stw_workers() / 4.0)
 
     def trigger_free_mb(self, heap: Heap) -> float:
-        # Inlined eden_capacity_mb with identical float grouping; this
-        # runs once per simulator loop step.
+        # Eden is YOUNG_FRACTION of the headroom above the old
+        # generation, at least 0.5 MB; the rest of the free space is
+        # left when the next cycle triggers.  Runs once per loop step.
         headroom = heap.usable_mb - heap.live_mb
         eden = self.YOUNG_FRACTION * headroom if headroom > 0.0 else 0.0
         if eden < 0.5:

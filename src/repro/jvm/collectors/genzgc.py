@@ -33,6 +33,8 @@ class GenZgcCollector(ZgcCollector):
     def __init__(self, spec, machine, tuning, rng):
         super().__init__(spec, machine, tuning, rng)
         self._young_cycles_since_old = 0
+        self._young_mark_start = (self._tiny_pause("young-mark-start"),)
+        self._young_relocate_start = (self._tiny_pause("young-relocate-start"),)
 
     def _old_cycle_due(self) -> bool:
         return self._young_cycles_since_old >= self.YOUNG_CYCLES_PER_OLD
@@ -46,12 +48,13 @@ class GenZgcCollector(ZgcCollector):
     def plan_cycle(self, heap: Heap) -> CyclePlan:
         if self._old_cycle_due():
             return super().plan_cycle(heap)
+        workers, work, _ = self._size_cycle(heap)
         return CyclePlan(
             kind="concurrent-young",
-            pre_pauses=(self._tiny_pause("young-mark-start"),),
-            concurrent_work_mb=self.cycle_work_mb(heap),
-            concurrent_threads=self.concurrent_workers(heap),
-            post_pauses=(self._tiny_pause("young-relocate-start"),),
+            pre_pauses=self._young_mark_start,
+            concurrent_work_mb=work,
+            concurrent_threads=workers,
+            post_pauses=self._young_relocate_start,
             survival_rate=self.spec.survival_rate,
             promotion_fraction=self.spec.promotion_fraction,
             pace_alloc_to_mb_s=None,

@@ -37,25 +37,43 @@ class ShenandoahCollector(ConcurrentCollector):
     #: allocation-heavy workloads stay throttled even at generous heaps.
     PACE_HEADROOM = 0.55
 
+    def __init__(self, spec, machine, tuning, rng):
+        super().__init__(spec, machine, tuning, rng)
+        self._mark_pauses_live = None
+        self._mark_pauses = None
+
     def default_concurrent_workers(self) -> float:
         # ConcGCThreads for Shenandoah defaults to half the parallel team.
         return max(1.0, self.stw_workers() / 2.0)
 
-    def _brief_pause(self, heap: Heap, fraction: float, kind: str):
-        # Init/final mark pauses scan roots; cost scales weakly with live.
-        return self.stw_pause_for(
-            fraction * self.live_footprint_mb(), self.tuning.mark_rate_mb_s, kind
-        )
+    def _root_scan_pauses(self, live: float):
+        """The init-mark and final-mark pause tuples for a ``live`` MB
+        live footprint.
+
+        They scan roots, so their cost scales weakly with the live
+        footprint — which moves only when leakage grows it between
+        iterations.  Memoized on that value.
+        """
+        if live != self._mark_pauses_live:
+            rate = self.tuning.mark_rate_mb_s
+            self._mark_pauses = (
+                (self.stw_pause_for(0.010 * live, rate, "init-mark"),),
+                (self.stw_pause_for(0.015 * live, rate, "final-mark"),),
+            )
+            self._mark_pauses_live = live
+        return self._mark_pauses
 
     def plan_cycle(self, heap: Heap) -> CyclePlan:
-        duration = self.cycle_duration_s(heap)
+        workers, work, duration = self._size_cycle(heap)
         pace = self.PACE_HEADROOM * heap.free_mb / duration if duration > 0 else None
+        live = self.live_footprint_mb()
+        init_mark, final_mark = self._root_scan_pauses(live)
         return CyclePlan(
             kind="concurrent",
-            pre_pauses=(self._brief_pause(heap, 0.010, "init-mark"),),
-            concurrent_work_mb=self.cycle_work_mb(heap),
-            concurrent_threads=self.concurrent_workers(heap),
-            post_pauses=(self._brief_pause(heap, 0.015, "final-mark"),),
-            full_live_target_mb=self.live_footprint_mb(),
+            pre_pauses=init_mark,
+            concurrent_work_mb=work,
+            concurrent_threads=workers,
+            post_pauses=final_mark,
+            full_live_target_mb=live,
             pace_alloc_to_mb_s=pace,
         )

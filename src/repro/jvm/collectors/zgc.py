@@ -35,22 +35,29 @@ class ZgcCollector(ConcurrentCollector):
     CYCLE_WORK_FACTOR = 1.25
     TRIGGER_SAFETY = 1.2
 
+    def __init__(self, spec, machine, tuning, rng):
+        super().__init__(spec, machine, tuning, rng)
+        # ZGC pauses do O(1) work (flip phases, scan thread-local roots),
+        # so every pause of a run is the same: built once, shared.
+        self._mark_start = (self._tiny_pause("mark-start"),)
+        self._mark_end = (self._tiny_pause("mark-end"), self._tiny_pause("relocate-start"))
+
     def default_concurrent_workers(self) -> float:
         # ZGC sizes its concurrent team adaptively; a quarter of the cores
         # plus one matches its default heuristics at rest.
         return max(1.0, self.machine.cores / 4.0 + 1.0)
 
     def _tiny_pause(self, kind: str):
-        # ZGC pauses do O(1) work: flip phases, scan thread-local roots.
         return self.stw_pause_for(0.0, self.tuning.mark_rate_mb_s, kind)
 
     def plan_cycle(self, heap: Heap) -> CyclePlan:
+        workers, work, _ = self._size_cycle(heap)
         return CyclePlan(
             kind="concurrent",
-            pre_pauses=(self._tiny_pause("mark-start"),),
-            concurrent_work_mb=self.cycle_work_mb(heap),
-            concurrent_threads=self.concurrent_workers(heap),
-            post_pauses=(self._tiny_pause("mark-end"), self._tiny_pause("relocate-start")),
+            pre_pauses=self._mark_start,
+            concurrent_work_mb=work,
+            concurrent_threads=workers,
+            post_pauses=self._mark_end,
             full_live_target_mb=self.live_footprint_mb(),
             pace_alloc_to_mb_s=None,  # no pacer: allocation stalls instead
         )

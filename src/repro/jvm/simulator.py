@@ -16,6 +16,22 @@ Simulation runs at one of two **fidelity tiers**
 :class:`~repro.jvm.timeline.Timeline` on each result; ``"aggregate"``
 keeps only the headline scalars and skips event materialization entirely
 — much faster, and bit-identical on every scalar.
+
+The loop step (trigger query, plan, cycle) is the innermost loop of every
+cold sweep, so it keeps these invariants:
+
+- one team sizing per heap state: a concurrent collector sizes each
+  trigger query and each plan once (``ConcurrentCollector._size_cycle``);
+- per-run constants are built once, at collector construction — among
+  them the concurrent rate per integer team size, which
+  :meth:`_IterationSim._execute_concurrent` reads instead of recomputing
+  the parallel speedup — and the mutator dilation is memoized per team
+  size for the iteration;
+- pause segments that cannot change within a run are immutable and
+  shared between plans;
+- every float comes from the same operations in the same order as the
+  plain formulas, so results are bit-identical to them
+  (``tests/test_simulator.py`` pins a golden digest).
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.rng import generator_for
-from repro.jvm.collectors.base import Collector, CyclePlan, GcTuning
+from repro.jvm.collectors.base import Collector, CyclePlan, GcTuning, team_rates
 from repro.jvm.cpu import DEFAULT_MACHINE, Machine
 from repro.jvm.environment import BASELINE_ENVIRONMENT, EnvironmentProfile
 from repro.jvm.heap import Heap, OutOfMemoryError
@@ -145,15 +161,6 @@ class _MutatorState:
     progress_s: float = 0.0
     wall_s: float = 0.0
 
-    @property
-    def remaining_s(self) -> float:
-        remaining = self.target_progress_s - self.progress_s
-        return remaining if remaining > 0.0 else 0.0
-
-    @property
-    def done(self) -> bool:
-        return self.progress_s >= self.target_progress_s - 1e-12
-
 
 def warmup_factor(iteration: int, spec) -> float:
     """Per-iteration slowdown from cold JIT/classloading.
@@ -206,6 +213,16 @@ class _IterationSim:
         self.state = _MutatorState(target_progress_s=target, alloc_rate_mb_s=alloc_rate)
         # The heap persists across iterations; report per-iteration allocation.
         self._alloc_at_start_mb = heap.allocated_total_mb
+        # The collector's rate table is built for its own machine; a
+        # caller simulating it on another machine gets that machine's.
+        self._team_rates = (
+            collector._team_rates
+            if machine is collector.machine
+            else team_rates(machine, collector.tuning)
+        )
+        #: Unpaced mutator progress rate (1 / dilation) per concurrent
+        #: team size, filled on first use.
+        self._progress_rates = {}
 
     # -- helpers -------------------------------------------------------
     def _run_mutator(self, progress_s: float) -> None:
@@ -249,26 +266,28 @@ class _IterationSim:
     def _execute_concurrent(self, plan: CyclePlan) -> None:
         """Run the concurrent phase: GC works for ``duration`` wall seconds
         while the mutator runs diluted, paced, or stalled beside it."""
+        state = self.state
         workers = plan.concurrent_threads
-        rate = self.collector.tuning.concurrent_rate_mb_s * self.machine.parallel_speedup(
-            max(int(workers), 1), self.collector.tuning.efficiency_exponent
+        rates = self._team_rates
+        team = int(workers)
+        duration = plan.concurrent_work_mb / (
+            rates[team] if team < len(rates) else rates[-1]
         )
-        duration = plan.concurrent_work_mb / rate
         if duration <= 0:
             return
-        contention = self.machine.mutator_dilation(self.spec.cpu_cores, workers)
-        progress_rate = 1.0 / contention
-        if plan.pace_alloc_to_mb_s is not None and self.state.alloc_rate_mb_s > 0:
-            paced = plan.pace_alloc_to_mb_s / self.state.alloc_rate_mb_s
+        progress_rate = self._progress_rates.get(workers)
+        if progress_rate is None:
+            contention = self.machine.mutator_dilation(self.spec.cpu_cores, workers)
+            progress_rate = self._progress_rates[workers] = 1.0 / contention
+        alloc_rate = state.alloc_rate_mb_s
+        if plan.pace_alloc_to_mb_s is not None and alloc_rate > 0:
+            paced = plan.pace_alloc_to_mb_s / alloc_rate
             progress_rate = min(progress_rate, paced)
-        start = self.state.wall_s
+        start = state.wall_s
 
-        max_by_space = (
-            self.heap.free_mb / self.state.alloc_rate_mb_s
-            if self.state.alloc_rate_mb_s > 0
-            else math.inf
-        )
-        max_by_work = self.state.remaining_s
+        max_by_space = self.heap.free_mb / alloc_rate if alloc_rate > 0 else math.inf
+        remaining = state.target_progress_s - state.progress_s
+        max_by_work = remaining if remaining > 0.0 else 0.0
         achievable = progress_rate * duration
         progress = min(achievable, max_by_space, max_by_work)
         run_wall = progress / progress_rate if progress_rate > 0 else 0.0
@@ -284,15 +303,15 @@ class _IterationSim:
         else:
             # Same float expression as ConcurrentSpan.cpu_seconds, inlined.
             telem.concurrent_cpu_s += (span_end - start) * workers
-        self.heap.allocate(progress * self.state.alloc_rate_mb_s)
-        self.state.progress_s += progress
+        self.heap.allocate(progress * alloc_rate)
+        state.progress_s += progress
         if finished_workload:
-            self.state.wall_s = start + run_wall
+            state.wall_s = start + run_wall
             return
         if run_wall < duration:
             # Heap exhausted mid-cycle: allocation stall until the cycle ends.
-            self.telemetry.record_stall(start + run_wall, duration - run_wall)
-        self.state.wall_s = start + duration
+            telem.record_stall(start + run_wall, duration - run_wall)
+        state.wall_s = start + duration
 
     def _apply_heap_effect(self, plan: CyclePlan, young_at_start: float) -> float:
         heap = self.heap
@@ -361,9 +380,10 @@ class _IterationSim:
         heap = self.heap
         collector = self.collector
         # Constant for the iteration (set once in __init__), and the
-        # ``state.done`` threshold, hoisted out of the hot loop.
+        # done threshold, hoisted out of the hot loop.
         alloc_rate = state.alloc_rate_mb_s
-        done_at = state.target_progress_s - 1e-12
+        target = state.target_progress_s
+        done_at = target - 1e-12
         unproductive = 0
         cycles = 0
         while state.progress_s < done_at:
@@ -371,7 +391,8 @@ class _IterationSim:
             budget_mb = heap.free_mb - trigger_free
             if budget_mb > 0 and alloc_rate > 0:
                 progress_to_trigger = budget_mb / alloc_rate
-                remaining = state.remaining_s
+                # Positive: progress is below done_at, hence below target.
+                remaining = target - state.progress_s
                 self._run_mutator(
                     progress_to_trigger if progress_to_trigger < remaining else remaining
                 )
@@ -379,7 +400,7 @@ class _IterationSim:
                     break
             elif alloc_rate <= 0:
                 # Non-allocating remainder: run to completion, no GC needed.
-                self._run_mutator(state.remaining_s)
+                self._run_mutator(target - state.progress_s)
                 break
             cycles += 1
             if cycles > MAX_CYCLES_PER_ITERATION:

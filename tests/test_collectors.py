@@ -1,11 +1,13 @@
 """Collector models: taxes, footprints, triggers, and cycle plans."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.rng import generator_for
+from repro.jvm import batch as batch_mod
 from repro.jvm.collectors import COLLECTORS, COLLECTOR_NAMES
 from repro.jvm.collectors.base import CyclePlan, GcTuning, PauseSegment
-from repro.jvm.cpu import DEFAULT_MACHINE
+from repro.jvm.cpu import DEFAULT_MACHINE, Machine
 from repro.jvm.heap import Heap
 from repro.workloads import registry
 
@@ -214,3 +216,113 @@ class TestCyclePlanValidation:
             PauseSegment(duration_s=-1.0, workers=1.0, kind="x")
         with pytest.raises(ValueError):
             PauseSegment(duration_s=1.0, workers=0.0, kind="x")
+
+
+def reference_workers(c, heap):
+    """The adaptive team formula, written out plainly: enough workers
+    that the cycle finishes within the allocation budget, within
+    [default, maximum] team size."""
+    base = c.default_concurrent_workers()
+    alloc_rate = c.spec.alloc_rate_mb_s
+    if alloc_rate <= 0 or heap.free_mb <= 0:
+        return base
+    budget_s = c.PACING_TARGET * heap.free_mb / alloc_rate
+    if budget_s <= 0:
+        return float(c.machine.cores)
+    needed_speedup = c.cycle_work_mb(heap) / (c.tuning.concurrent_rate_mb_s * budget_s)
+    if needed_speedup <= 1.0:
+        needed = 1.0
+    else:
+        needed = needed_speedup ** (1.0 / c.tuning.efficiency_exponent)
+    return float(min(max(base, needed), c.max_concurrent_workers()))
+
+
+def reference_trigger(c, heap):
+    """The documented trigger: the allocation expected during a cycle
+    sized now, times the safety factor, kept within [10 %, 90 %] of the
+    headroom above the live footprint."""
+    workers = reference_workers(c, heap)
+    rate = c.tuning.concurrent_rate_mb_s * c.machine.parallel_speedup(
+        max(int(workers), 1), c.tuning.efficiency_exponent
+    )
+    expected_alloc = c.spec.alloc_rate_mb_s * (c.cycle_work_mb(heap) / rate)
+    headroom = max(heap.usable_mb - c.live_footprint_mb(), 0.0)
+    trigger = c.TRIGGER_SAFETY * expected_alloc
+    return float(min(max(trigger, 0.10 * headroom), 0.90 * headroom))
+
+
+concurrent_states = st.fixed_dictionaries(
+    {
+        "name": st.sampled_from(["Shenandoah", "ZGC", "GenZGC"]),
+        "bench": st.sampled_from(["lusearch", "fop", "h2", "cassandra", "zxing", "jme"]),
+        "cores": st.integers(min_value=1, max_value=64),
+        "smt": st.integers(min_value=1, max_value=2),
+        "efficiency": st.floats(min_value=0.5, max_value=1.0),
+        "capacity_factor": st.floats(min_value=1.0, max_value=8.0),
+        "live_share": st.floats(min_value=0.0, max_value=1.0),
+        "young_share": st.floats(min_value=0.0, max_value=1.0),
+        "young_cycles": st.integers(min_value=0, max_value=9),
+        "leak_mb": st.floats(min_value=0.0, max_value=50.0),
+        # None: a uniformly random heap.  Otherwise free space is set so
+        # the adaptive team lands this far between its default and its
+        # maximum, where neither clamp hides the sizing arithmetic.
+        "team_target": st.one_of(st.none(), st.floats(min_value=0.0, max_value=1.0)),
+    }
+)
+
+
+def concurrent_state(state):
+    spec = registry.workload(state["bench"])
+    machine = Machine(cores=state["cores"], smt=state["smt"])
+    tuning = GcTuning(efficiency_exponent=state["efficiency"])
+    c = COLLECTORS[state["name"]](spec, machine, tuning, generator_for("p", state["name"]))
+    c.extra_live_mb = state["leak_mb"]
+    if state["name"] == "GenZGC":
+        c._young_cycles_since_old = state["young_cycles"]
+    heap = Heap(
+        capacity_mb=c.min_heap_mb() * state["capacity_factor"],
+        reserve_fraction=c.RESERVE_FRACTION,
+    )
+    heap.live_mb = heap.usable_mb * state["live_share"]
+    heap.young_mb = (heap.usable_mb - heap.live_mb) * state["young_share"]
+    if state["team_target"] is not None and c.cycle_work_mb(heap) > 0:
+        base, top = c.default_concurrent_workers(), c.max_concurrent_workers()
+        team = base + state["team_target"] * (top - base)
+        speedup = team ** c.tuning.efficiency_exponent
+        free = (
+            c.cycle_work_mb(heap) * c.spec.alloc_rate_mb_s
+            / (c.tuning.concurrent_rate_mb_s * c.PACING_TARGET * speedup)
+        )
+        occupied = heap.live_mb + heap.young_mb
+        heap.capacity_mb = (occupied + free) / (1.0 - heap.reserve_fraction)
+    return c, heap
+
+
+class TestCycleSizing:
+    """Plans, triggers and the public team size all come from one sizing
+    per heap state; they must equal the plain formulas exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(concurrent_states)
+    def test_plan_and_trigger_match_the_formulas(self, state):
+        c, heap = concurrent_state(state)
+        workers = c.concurrent_workers(heap)
+        assert workers == reference_workers(c, heap)
+        plan = c.plan_cycle(heap)
+        assert plan.concurrent_threads == workers
+        assert plan.concurrent_work_mb == c.cycle_work_mb(heap)
+        assert c.trigger_free_mb(heap) == reference_trigger(c, heap)
+
+    @settings(max_examples=50, deadline=None)
+    @given(concurrent_states)
+    def test_batch_kernel_team_bounds_are_the_collectors(self, state):
+        c, _ = concurrent_state(state)
+        heap_mb = c.min_heap_mb() * state["capacity_factor"]
+        cell = batch_mod.BatchCell(spec=c.spec, heap_mb=heap_mb, invocation=0)
+        spec = batch_mod.BatchSpec(
+            collector=c.NAME, cells=(cell,), machine=c.machine, tuning=c.tuning
+        )
+        cls = COLLECTORS[c.NAME]
+        sim = batch_mod._BatchSim(spec, [cell], cls, batch_mod._KERNELS[cls])
+        assert sim.kernel.base_workers == c.default_concurrent_workers()
+        assert sim.kernel.max_workers == c.max_concurrent_workers()

@@ -1,10 +1,17 @@
-"""Simulator invariants: accounting, warmup, determinism, OOM behaviour."""
+"""Simulator invariants: accounting, warmup, determinism, OOM behaviour,
+and a golden digest of exact output."""
 
+import hashlib
+import math
+
+import numpy as np
 import pytest
 
 from repro import OutOfMemoryError, registry, simulate_run
-from repro.jvm.collectors import COLLECTOR_NAMES
-from repro.jvm.simulator import warmup_factor
+from repro.jvm.collectors import COLLECTOR_NAMES, COLLECTORS, GcTuning
+from repro.jvm.cpu import Machine
+from repro.jvm.environment import EnvironmentProfile
+from repro.jvm.simulator import make_collector, warmup_factor
 
 SCALE = 0.05
 
@@ -178,3 +185,129 @@ class TestBehaviouralSignatures:
         times = [t for t, _ in series]
         assert times == sorted(times)
         assert all(mb >= 0 for _, mb in series)
+
+
+def _golden_cells():
+    """A small fixed grid pinned to its exact simulated output.
+
+    Every collector (GenZGC included) at both fidelity tiers, on a
+    steady and an allocation-heavy workload; a leaking workload with a
+    forced full GC between iterations; a non-default machine, tuning
+    and environment; and out-of-memory cells, both at setup (the live
+    set does not fit) and mid-run (no GC can make progress).  The
+    48-core machine gives Shenandoah and ZGC a wide adaptive-team range,
+    so team sizes that neither clamp hides reach the digest.
+    """
+    machine = Machine(cores=48, smt=1, base_clock_ghz=3.2, llc_mb=32.0, name="48-core")
+    tuning = GcTuning(mark_rate_mb_s=1999.5, concurrent_rate_mb_s=900.0, pause_floor_s=0.0002)
+    environment = EnvironmentProfile(
+        slow_memory=True, llc_fraction=0.25, frequency_boost=True, compiler="c2-only"
+    )
+    names = tuple(COLLECTORS)
+    cells = []
+    for fidelity in ("aggregate", "full"):
+        for name in names:
+            cells.append(("fop", name, 2.0, dict(fidelity=fidelity)))
+            cells.append(
+                ("lusearch", name, 1.5, dict(fidelity=fidelity, duration_scale=0.02))
+            )
+            cells.append(
+                (
+                    "zxing", name, 1.5,
+                    dict(fidelity=fidelity, iterations=4,
+                         force_full_gc_between_iterations=True),
+                )
+            )
+            for bench in ("cassandra", "lusearch"):
+                cells.append(
+                    (
+                        bench, name, 2.0,
+                        dict(fidelity=fidelity, invocation=3, machine=machine,
+                             tuning=tuning, environment=environment),
+                    )
+                )
+    for name in names:
+        cells.append(("fop", name, 1.0, dict(fidelity="aggregate")))
+        # A multiple of 0 means "at the collector's own minimum heap",
+        # where zxing's GC cannot reclaim enough to make progress.
+        cells.append(("zxing", name, 0.0, dict(fidelity="full")))
+    return cells
+
+
+def _golden_digest():
+    h = hashlib.sha256()
+    for bench, name, multiple, kw in _golden_cells():
+        spec = registry.workload(bench)
+        kw = dict(kw)
+        kw.setdefault("iterations", 2)
+        kw.setdefault("duration_scale", SCALE)
+        if multiple == 0.0:
+            heap_mb = make_collector(name, spec).min_heap_mb()
+        else:
+            heap_mb = spec.heap_mb_for(multiple)
+        h.update(f"{bench}/{name}/{multiple}/{sorted(kw)}\n".encode())
+        try:
+            result = simulate_run(spec, name, heap_mb, **kw)
+        except OutOfMemoryError as exc:
+            h.update(f"OOM {exc}\n".encode())
+            continue
+        values = list(result.forced_gc_footprints_mb)
+        for r in result.iterations:
+            values += [
+                r.wall_s, r.mutator_cpu_s, r.gc_pause_cpu_s, r.gc_concurrent_cpu_s,
+                r.stw_wall_s, r.stall_wall_s, float(r.gc_count), r.allocated_mb,
+                r.live_end_mb, r.avg_footprint_mb,
+            ]
+            if r.telemetry is None:
+                continue
+            t = r.telemetry
+            for p in t.pauses:
+                values += [p.start, p.duration]
+                h.update(p.kind.encode())
+            for s in t.spans:
+                values += [s.start, s.end, s.gc_threads, s.dilation]
+            for s in t.stalls:
+                values += [s.start, s.duration]
+            for e in t.gc_log:
+                values += [
+                    e.time, e.pause_s, e.reclaimed_mb, e.heap_before_mb, e.heap_after_mb,
+                ]
+                h.update(e.kind.encode())
+        h.update(" ".join(float(v).hex() for v in values).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _primitive_canary():
+    """Digest of the libm/numpy primitives the simulator's floats pass
+    through (``np.exp`` of seeded normal draws, ``math.log``/``math.exp``,
+    fractional ``**``).  A host whose primitives round differently by an
+    ulp cannot reproduce the golden digest, whatever the simulator does."""
+    rng = np.random.default_rng(20250301)
+    draws = rng.normal(0.0, 0.05, size=64)
+    values = [float(np.exp(x)) for x in draws]
+    for x in (0.3, 1.7, 12.5, 333.0, 4.2e-3):
+        values += [math.log(x), math.exp(-x / 7.0), x ** 0.85, x ** (1.0 / 0.85), x ** 0.5]
+    for threads in range(1, 33):
+        values.append(float(threads) ** 0.85)
+    return hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+
+
+#: sha256 of the host primitives above on the host the golden digest
+#: was captured on.
+PRIMITIVE_CANARY = "d852dbf907e4e8db24cc6de42395c449feb2d5a33a26d283d2351467dc0c718c"
+#: sha256 of every headline scalar and every full-tier pause, span,
+#: stall and GC-log entry of :func:`_golden_cells`.  Any change to the
+#: simulator's float operations or their order shows up here.
+GOLDEN_OUTPUT = "39aa9b50cc9e9753ee289189ef40943ff6733d4f5dc5c6a7d2e6be56a6ddaa73"
+
+
+class TestGoldenOutput:
+    def test_simulator_output_is_pinned(self):
+        canary = _primitive_canary()
+        if canary != PRIMITIVE_CANARY:
+            pytest.skip(
+                "this host's exp/log/pow round differently from the host the "
+                f"golden digest was captured on (canary {canary[:12]})"
+            )
+        assert _golden_digest() == GOLDEN_OUTPUT
