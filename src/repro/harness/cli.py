@@ -819,9 +819,9 @@ def cmd_submit(args: argparse.Namespace) -> int:
         budget_s=args.budget,
         kind=args.kind,
     )
-    client = _service_client(args)
     try:
-        reply = client.submit(spec)
+        with _service_client(args) as client:
+            reply = client.submit(spec)
     except ServiceError as exc:
         print(f"chopin submit: {exc}", file=sys.stderr)
         return 1
@@ -834,7 +834,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     try:
-        payload = _service_client(args).status(args.job_id)
+        with _service_client(args) as client:
+            payload = client.status(args.job_id)
     except ServiceError as exc:
         print(f"chopin status: {exc}", file=sys.stderr)
         return 1
@@ -843,11 +844,11 @@ def cmd_status(args: argparse.Namespace) -> int:
 
 
 def cmd_result(args: argparse.Namespace) -> int:
-    client = _service_client(args)
     try:
-        if args.wait is not None:
-            client.wait(args.job_id, timeout_s=args.wait)
-        payload = client.result(args.job_id)
+        with _service_client(args) as client:
+            if args.wait is not None:
+                client.wait(args.job_id, timeout_s=args.wait)
+            payload = client.result(args.job_id)
     except ServiceError as exc:
         print(f"chopin result: {exc}", file=sys.stderr)
         return 1
@@ -877,7 +878,8 @@ def cmd_result(args: argparse.Namespace) -> int:
 
 def cmd_cancel(args: argparse.Namespace) -> int:
     try:
-        reply = _service_client(args).cancel(args.job_id)
+        with _service_client(args) as client:
+            reply = client.cancel(args.job_id)
     except ServiceError as exc:
         print(f"chopin cancel: {exc}", file=sys.stderr)
         return 1

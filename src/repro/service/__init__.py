@@ -33,9 +33,12 @@ Four modules, one per concern:
   :class:`~repro.resilience.Supervisor` per job so deadline budgets,
   breakers, and cancellation become per-job admission control and
   refused cells surface as typed holes in the status payload;
-- :mod:`.client` — :class:`ServiceClient`: a thin stdlib-urllib client
-  (and the ``chopin submit/status/result/cancel`` verbs) that makes the
-  service scriptable and testable end to end.
+- :mod:`.client` — :class:`ServiceClient`: a stdlib ``http.client``
+  client (and the ``chopin submit/status/result/cancel`` verbs) that
+  makes the service scriptable and testable end to end.  Each thread
+  keeps one persistent HTTP/1.1 connection, a kept connection the
+  server closed is replaced once, transparently, and ``close()`` (or a
+  ``with`` block) releases them.
 
 Contract: a sweep submitted over HTTP is **bit-identical** to the same
 sweep run via ``chopin lbo`` one-shot — same cells, same cache keys,

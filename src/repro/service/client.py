@@ -1,10 +1,20 @@
-"""ServiceClient: the thin stdlib-urllib client behind ``chopin submit``.
+"""ServiceClient: the stdlib HTTP/1.1 client behind ``chopin submit``.
 
-One class, no dependencies beyond ``urllib.request``: enough to script
-the service end to end (submit → poll → fetch → cancel) from the CLI
-verbs, the tests, and the benchmark harness.  Transport and HTTP-status
+One class, no dependencies beyond ``http.client``: enough to script the
+service end to end (submit → poll → fetch → cancel) from the CLI verbs,
+the tests, and the benchmark harness.  Transport and HTTP-status
 failures both surface as :class:`ServiceError` carrying the status code
 and the server's ``error`` message, so callers never parse tracebacks.
+
+Connections persist.  Each thread that uses a client gets one
+``http.client.HTTPConnection`` (``HTTPSConnection`` for ``https://``
+URLs) and every later request from that thread reuses it, so a poll
+costs one round trip instead of a TCP handshake, an accept and a
+server-side handler thread.  When a request fails on a *reused*
+connection before any status line arrives — the server closed it while
+it idled, after a 413, or on a restart — it is retried once on a fresh
+connection.  :meth:`ServiceClient.close` (or leaving a ``with`` block)
+releases every thread's connection.
 
 Submission is retried with bounded exponential backoff when the service
 sheds load (503 — honoring its ``Retry-After`` hint) or is briefly
@@ -12,17 +22,19 @@ unreachable (status 0: connection refused mid-restart).  Every submit
 carries an ``Idempotency-Key`` header, generated once per :meth:`submit`
 call, so a retry after an ambiguous failure (the request landed but the
 response was lost) dedupes server-side instead of double-enqueuing the
-sweep.
+sweep.  The same key makes the reconnect-once retry safe for submits;
+cancel is idempotent and every other verb is a read.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+import urllib.parse
 import uuid
-from typing import Callable, Optional
+from typing import Callable, Optional, Set
 
 
 class ServiceError(Exception):
@@ -53,6 +65,10 @@ class ServiceClient:
     ``sleep`` is injectable so tests assert the backoff schedule without
     waiting it out.  Methods return the decoded JSON payloads the
     endpoints document.
+
+    A client may be shared by threads: each keeps its own persistent
+    connection.  Use it as a context manager, or call :meth:`close`, to
+    release them.
     """
 
     def __init__(
@@ -70,6 +86,43 @@ class ServiceClient:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._sleep = sleep
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"service URL must be http(s)://host[:port], got {base_url!r}")
+        self._connection_class = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        )
+        self._address = (url.hostname, url.port)
+        self._prefix = url.path
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._connections: Set[http.client.HTTPConnection] = set()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close every thread's kept connection.  The client stays
+        usable: a later request opens a fresh one."""
+        with self._lock:
+            connections, self._connections = self._connections, set()
+        for connection in connections:
+            connection.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection, opened on first use (and again
+        after :meth:`close`)."""
+        connection = getattr(self._local, "connection", None)
+        with self._lock:
+            if connection not in self._connections:
+                host, port = self._address
+                connection = self._connection_class(host, port, timeout=self.timeout_s)
+                self._local.connection = connection
+                self._connections.add(connection)
+        return connection
 
     def _request(
         self,
@@ -85,29 +138,43 @@ class ServiceClient:
             data = json.dumps(body).encode("utf-8")
             request_headers["Content-Type"] = "application/json"
         request_headers.update(headers or {})
-        request = urllib.request.Request(
-            self.base_url + path, data=data, headers=request_headers, method=method
-        )
+        connection = self._connection()
+        target = self._prefix + path
+        reused = connection.sock is not None
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
-                payload = response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            detail = exc.read().decode("utf-8", "replace")
+            try:
+                connection.request(method, target, body=data, headers=request_headers)
+                response = connection.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                # The server closed the kept connection (idle timeout, a
+                # 413, a restart) before any status line arrived: retry
+                # once on a fresh one.  Submits keep their idempotency
+                # key across this retry, and cancel is idempotent.
+                connection.close()
+                connection.request(method, target, body=data, headers=request_headers)
+                response = connection.getresponse()
+            payload = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise ServiceError(0, f"{method} {path}: {exc}") from None
+        if not 200 <= response.status < 300:
+            detail = payload.decode("utf-8", "replace")
             try:
                 detail = json.loads(detail).get("error", detail)
-            except ValueError:
+            except (ValueError, AttributeError):
                 pass
-            retry_after = exc.headers.get("Retry-After") if exc.headers else None
+            retry_after = response.getheader("Retry-After")
             try:
                 retry_after = float(retry_after) if retry_after is not None else None
             except ValueError:
                 retry_after = None
             raise ServiceError(
-                exc.code, f"{method} {path}: {detail}", retry_after_s=retry_after
-            ) from None
-        except urllib.error.URLError as exc:
-            raise ServiceError(0, f"{method} {path}: {exc.reason}") from None
-        return payload if raw else json.loads(payload)
+                response.status, f"{method} {path}: {detail}", retry_after_s=retry_after
+            )
+        text = payload.decode("utf-8")
+        return text if raw else json.loads(text)
 
     def _backoff_s(self, attempt: int, error: ServiceError) -> float:
         """How long to sleep before retry ``attempt`` (0-based): the

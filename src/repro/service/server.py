@@ -39,6 +39,13 @@ JSON in, JSON out, no new dependencies.  Endpoints::
     GET  /readyz          admission readiness (503 when draining/saturated)
     GET  /metrics         the service MetricsRegistry, one line per metric
 
+Connections are HTTP/1.1 keep-alive.  Each response leaves in one send
+on a ``TCP_NODELAY`` socket.  A request whose body was not read, or was
+read and refused, gets ``Connection: close``, so leftover bytes never
+parse as the next request.  :meth:`SweepService.stop` and
+:meth:`~SweepService.crash_stop` end every kept connection too: a
+stopped service answers nothing.
+
 Hardening (see the README runbook): every RUNNING job holds a
 ``lease_s`` lease its worker renews per completed cell; a reaper thread
 requeues jobs whose lease expired — the worker thread died or hung —
@@ -75,13 +82,14 @@ from __future__ import annotations
 import json
 import math
 import signal
+import socket
 import sys
 import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Set, TextIO, Tuple, Union
 
 from repro.harness.config import HarnessConfig, engine_from_config
 from repro.harness.engine import ExecutionEngine, Hole, ProgressSink
@@ -490,6 +498,9 @@ class SweepService:
         self._lock = threading.Lock()
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._threads: List[threading.Thread] = []
+        # Accepted sockets still open: keep-alive handler threads are
+        # daemons nobody joins, so stopping shuts these down instead.
+        self._connections: Set[socket.socket] = set()
         self._stopped = threading.Event()
         self._draining: Optional[str] = None  # drain reason once announced
         self._saturated = False  # backpressure hysteresis latch
@@ -855,6 +866,24 @@ class SweepService:
         self._threads.append(reaper)
         return self
 
+    def _stop_http(self) -> None:
+        """Mark the service stopped and make it answer nothing: close
+        the listener, then shut the read side of every kept connection
+        so its handler sees end-of-stream and exits after the response
+        it is writing, if any.  A handler accepted after the sweep finds
+        the service stopped before it reads a request."""
+        self._stopped.set()
+        if self._httpd is not None:
+            self._httpd.shutdown()
+            self._httpd.server_close()
+        with self._lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its handler
+
     def begin_drain(self, reason: str = "shutdown") -> None:
         """Announce a drain: ``/readyz`` flips to 503 and ``POST /jobs``
         starts refusing, while the HTTP server stays up for status and
@@ -869,10 +898,7 @@ class SweepService:
         if self._stopped.is_set():
             return
         self.begin_drain(reason)
-        self._stopped.set()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+        self._stop_http()
         self.queue.close()
         with self._lock:
             running = list(self._running.values())
@@ -899,11 +925,8 @@ class SweepService:
         """
         if self._stopped.is_set():
             return
-        self._stopped.set()
         self._draining = "crash"
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
+        self._stop_http()
         self.queue.close()
         for thread in self._threads:
             if thread is not threading.current_thread():
@@ -978,12 +1001,36 @@ def _make_handler(service: SweepService):
         server_version = "chopin-serve/1.0"
         protocol_version = "HTTP/1.1"
         # socketserver applies this to the connection in setup(): a
-        # client that stalls mid-request times out instead of pinning a
-        # handler thread forever.
+        # client that stalls mid-request, or a kept connection left
+        # idle, times out instead of pinning a handler thread forever.
         timeout = REQUEST_TIMEOUT_S
+        # TCP_NODELAY: a kept connection's next response must not wait
+        # for the client to ACK the last one (Nagle's algorithm against
+        # delayed ACK costs ~40 ms a request).
+        disable_nagle_algorithm = True
 
         def log_message(self, format: str, *args: object) -> None:
             pass  # the service reports through its own stream, not stderr spam
+
+        # -- connection lifecycle ----------------------------------------
+
+        def setup(self) -> None:
+            super().setup()
+            with service._lock:
+                service._connections.add(self.connection)
+
+        def handle(self) -> None:
+            # BaseHTTPRequestHandler.handle, except that a stopped
+            # service reads no further request from a kept connection.
+            self.close_connection = False
+            while not self.close_connection and not service._stopped.is_set():
+                self._body_read = False
+                self.handle_one_request()
+
+        def finish(self) -> None:
+            with service._lock:
+                service._connections.discard(self.connection)
+            super().finish()
 
         # -- plumbing ---------------------------------------------------
 
@@ -994,33 +1041,64 @@ def _make_handler(service: SweepService):
             headers: Optional[Dict[str, str]] = None,
         ) -> None:
             body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+            self._respond(status, "application/json", body, headers)
+
+        def _send_text(self, status: int, text: str) -> None:
+            self._respond(status, "text/plain; charset=utf-8", text.encode("utf-8"))
+
+        def _respond(
+            self,
+            status: int,
+            content_type: str,
+            body: bytes,
+            headers: Optional[Dict[str, str]] = None,
+        ) -> None:
+            # A request body that was not read, or read and refused, may
+            # not end where its Content-Length says: close rather than
+            # parse the next request out of its leftover bytes.
+            if self._declares_body() and (status >= 400 or not self._body_read):
+                self.close_connection = True
             self.send_response(status)
-            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
             for name, value in (headers or {}).items():
                 self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            # Head and body in one send, so a small response is one
+            # segment on the wire (HTTP/0.9 has no head).
+            head = b""
+            if self.request_version != "HTTP/0.9":
+                head = b"".join(self._headers_buffer) + b"\r\n"
+                self._headers_buffer = []
+            self.wfile.write(head + body)
 
-        def _send_text(self, status: int, text: str) -> None:
-            body = text.encode("utf-8")
-            self.send_response(status)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+        def _declares_body(self) -> bool:
+            length = self.headers.get("Content-Length")
+            return "Transfer-Encoding" in self.headers or (
+                length is not None and length.strip() != "0"
+            )
 
         def _body(self) -> object:
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-            except ValueError:
-                raise ValueError("Content-Length must be an integer") from None
+            declared = (self.headers.get("Content-Length") or "0").strip()
+            if not (declared.isascii() and declared.isdigit()):
+                raise ValueError("Content-Length must be a non-negative integer")
+            length = int(declared)
             if length > MAX_BODY_BYTES:
                 raise _BodyTooLarge(length)
-            raw = self.rfile.read(length) if length else b""
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except socket.timeout:
+                raise ValueError(
+                    f"request body ended before its Content-Length of {length} bytes"
+                ) from None
+            self._body_read = True
             if not raw:
                 raise ValueError("request body must be a JSON object")
-            return json.loads(raw.decode("utf-8"))
+            try:
+                return json.loads(raw.decode("utf-8"))
+            except RecursionError:
+                raise ValueError("request body nests too deeply") from None
 
         def _job(self, job_id: str) -> Optional[Job]:
             try:
@@ -1093,10 +1171,8 @@ def _make_handler(service: SweepService):
                                 "timelines; use fidelity full (or auto)"
                             )
                 except _BodyTooLarge as exc:
-                    # The oversized body was never read: drop the
-                    # connection after responding rather than let it
-                    # poison the next keep-alive request.
-                    self.close_connection = True
+                    # The oversized body is never read; _respond closes
+                    # the connection after this answer.
                     self._send(
                         413,
                         {"error": f"request body of {exc.length} bytes exceeds "
